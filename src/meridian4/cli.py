@@ -42,7 +42,6 @@ any cap is respected and echoed into reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -56,7 +55,7 @@ from .diffkit import SmoothFn1, constant_fn, poly_fn, sin_offset_fn
 from .errors import MeridianError
 from .families import FamilySpec, build_profile, verify_family
 from .geometry import MeridianSurface, curve_from_curvature, great_circle, latitude_circle
-from .grids import Grid2
+from .grids import Grid2, json_safe
 from .minkowski import inner_arrays
 from .natural_pde import (
     IsotropicChart,
@@ -95,9 +94,19 @@ def thread_cap() -> int:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
+
+
+def _config_number(cfg: dict, key: str, default, kind=float):
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number, not {cfg[key]!r}")
 
 
 def _parse_kappa(sel: str) -> SmoothFn1:
@@ -122,6 +131,8 @@ def _parse_grid(d: dict) -> Grid2:
 
 
 def _build_directrix(d: dict, grid: Grid2):
+    if not isinstance(d, dict):
+        raise ConfigError("directrix must be a JSON object")
     kind = d.get("kind", "great")
     if kind == "great":
         return great_circle()
@@ -152,9 +163,13 @@ def _build_surface(cfg: dict) -> tuple:
         raise ConfigError(
             f"grid u-range [{grid.u_min}, {grid.u_max}] outside family "
             f"interval [{spec.u_min}, {spec.u_max}]")
-    directrix = _build_directrix(cfg.get("directrix", {}), grid)
-    surface = MeridianSurface(profile=build_profile(spec),
-                              directrix=directrix, name=spec.tag)
+    try:
+        directrix = _build_directrix(cfg.get("directrix", {}), grid)
+        profile = build_profile(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad directrix or family parameters: {exc}")
+    surface = MeridianSurface(profile=profile, directrix=directrix,
+                              name=spec.tag)
     return surface, spec, grid
 
 
@@ -182,60 +197,81 @@ def _sweep(surface: MeridianSurface, grid: Grid2) -> dict:
     }
 
 
-def _causal_name(q: float, tol: float = 1e-10) -> str:
-    if q > tol:
-        return "spacelike"
-    if q < -tol:
-        return "timelike"
-    return "lightlike"
+def _dumps(payload, **kw) -> str:
+    """JSON text of a payload; non-finite floats are written as null."""
+    return json.dumps(json_safe(payload), allow_nan=False, **kw)
+
+
+#: Rows formatted per write; bounds the text held in memory at once.
+_BLOCK_ROWS = 8192
+
+_CAUSAL_NAMES = np.array(["spacelike", "timelike", "lightlike"], dtype=object)
+
+
+def _causal_names(q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Causal class of each squared norm; |q| <= tol (or NaN) is lightlike."""
+    return _CAUSAL_NAMES[np.where(q > tol, 0, np.where(q < -tol, 1, 2))]
+
+
+def _row_blocks(template: str, cols: list, sep: str = ""):
+    """Yield ``template % row`` over the rows of equal-length flat columns.
+
+    Rows are formatted _BLOCK_ROWS at a time and joined by ``sep``, which
+    also separates consecutive blocks.
+    """
+    n = len(cols[0])
+    for s in range(0, n, _BLOCK_ROWS):
+        rows = zip(*[c[s:s + _BLOCK_ROWS].tolist() for c in cols])
+        text = sep.join(map(template.__mod__, rows))
+        yield sep + text if s else text
+
+
+def _csv_template(n_floats: int, n_strings: int = 0) -> str:
+    """%-template of one CSV row: %.12g floats, then strings; \\r\\n ending."""
+    return ",".join(["%.12g"] * n_floats + ["%s"] * n_strings) + "\r\n"
+
+
+def _grid_columns(sweep: dict) -> list:
+    """The 14 numeric CSV columns of a sweep, flattened in row-major order."""
+    z = sweep["z"]
+    return ([np.ravel(sweep["U"]), np.ravel(sweep["V"])]
+            + [np.ravel(z[..., c]) for c in range(4)]
+            + [np.ravel(sweep[k]) for k in
+               ("E", "F", "G", "K", "Kperp", "h1", "h2", "Hnormsq")])
 
 
 def _write_csv(path: Path, sweep: dict):
+    cols = _grid_columns(sweep)
+    cols += [_causal_names(cols[6]), _causal_names(cols[8])]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        nu, nv = sweep["E"].shape
-        for i in range(nu):
-            for j in range(nv):
-                z = sweep["z"][i, j]
-                w.writerow([
-                    f"{sweep['U'][i, j]:.12g}", f"{sweep['V'][i, j]:.12g}",
-                    *(f"{c:.12g}" for c in z),
-                    f"{sweep['E'][i, j]:.12g}", f"{sweep['F'][i, j]:.12g}",
-                    f"{sweep['G'][i, j]:.12g}", f"{sweep['K'][i, j]:.12g}",
-                    f"{sweep['Kperp'][i, j]:.12g}",
-                    f"{sweep['h1'][i, j]:.12g}", f"{sweep['h2'][i, j]:.12g}",
-                    f"{sweep['Hnormsq'][i, j]:.12g}",
-                    _causal_name(sweep["E"][i, j]),
-                    _causal_name(sweep["G"][i, j]),
-                ])
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(_row_blocks(_csv_template(14, 2), cols))
 
 
 def _write_obj(path: Path, sweep: dict):
     z = sweep["z"]
     nu, nv = z.shape[:2]
+    i, j = np.divmod(np.arange((nu - 1) * (nv - 1)), nv - 1)
+    a = i * nv + j + 1
+    b = a + nv
     with open(path, "w") as fh:
         fh.write("# parametric surface export, y-up, vertices + quads\n")
-        for i in range(nu):
-            for j in range(nv):
-                x1, x2, _, x4 = z[i, j]
-                fh.write(f"v {x1:.9g} {x4:.9g} {x2:.9g}\n")
-        for i in range(nu - 1):
-            for j in range(nv - 1):
-                a = i * nv + j + 1
-                b = (i + 1) * nv + j + 1
-                fh.write(f"f {a} {b} {b + 1} {a + 1}\n")
+        fh.writelines(_row_blocks("v %.9g %.9g %.9g\n",
+                                  [np.ravel(z[..., c]) for c in (0, 3, 1)]))
+        fh.writelines(_row_blocks("f %d %d %d %d\n", [a, b, b + 1, a + 1]))
 
 
 def _write_grid_json(path: Path, sweep: dict, echo: dict):
-    payload = {"config": echo, "columns": CSV_COLUMNS[:14],
-               "rows": [[float(sweep[k][i, j]) for k in
-                         ("U", "V")] + [float(c) for c in sweep["z"][i, j]]
-                        + [float(sweep[k][i, j]) for k in
-                           ("E", "F", "G", "K", "Kperp", "h1", "h2", "Hnormsq")]
-                        for i in range(sweep["E"].shape[0])
-                        for j in range(sweep["E"].shape[1])]}
-    path.write_text(json.dumps(payload))
+    head = _dumps({"config": echo, "columns": CSV_COLUMNS[:14]})
+    template = "[" + ", ".join(["%r"] * 14) + "]"
+    with open(path, "w") as fh:
+        fh.write(head[:-1] + ', "rows": [')
+        # repr() spells non-finite floats nan/inf; JSON has only null.
+        fh.writelines(block.replace("-inf", "null").replace("inf", "null")
+                      .replace("nan", "null")
+                      for block in _row_blocks(template, _grid_columns(sweep),
+                                               ", "))
+        fh.write("]}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +295,8 @@ def cmd_generate(cfg: dict, out_dir: Path) -> int:
         },
         "files": ["surface.csv", "surface.obj"],
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2))
-    print(json.dumps(report["summary"]))
+    (out_dir / "report.json").write_text(_dumps(report, indent=2))
+    print(_dumps(report["summary"]))
     return 0
 
 
@@ -284,7 +320,7 @@ def cmd_verify(cfg: dict, out_dir: Path | None, tol: float) -> int:
     surface, spec, grid = _build_surface(cfg)
     verdict = verify_family(surface, spec, grid, tol=tol)
     payload = {"config": cfg, "verdict": verdict.to_json()}
-    text = json.dumps(payload, indent=2)
+    text = _dumps(payload, indent=2)
     print(text)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,14 +337,13 @@ def cmd_geomfuncs(cfg: dict, out_dir: Path, fmt: str) -> int:
             gf = geometric_functions(surface, float(u), float(v))
             rows.append([float(u), float(v), *gf.as_array().tolist()])
     if fmt == "json":
-        (out_dir / "geomfuncs.json").write_text(json.dumps(
+        (out_dir / "geomfuncs.json").write_text(_dumps(
             {"config": cfg, "columns": GEOMFUNC_COLUMNS, "rows": rows}))
     else:
+        cols = list(np.array(rows).T)
         with open(out_dir / "geomfuncs.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(GEOMFUNC_COLUMNS)
-            for r in rows:
-                w.writerow([f"{x:.12g}" for x in r])
+            fh.write(",".join(GEOMFUNC_COLUMNS) + "\r\n")
+            fh.writelines(_row_blocks(_csv_template(len(cols)), cols))
     print(str(out_dir / f"geomfuncs.{'json' if fmt == 'json' else 'csv'}"))
     return 0
 
@@ -376,13 +411,13 @@ def cmd_pde(cfg: dict, out_dir: Path | None, tol: float) -> int:
             if system == "syst1":
                 report = residual_syst1(lam, mu, nu, chart, grid, tol=tol)
             else:
-                eps = int(cfg.get("epsilon", -1))
+                eps = _config_number(cfg, "epsilon", -1, int)
                 tl, tm, tn, scale = transported_solution_family(a, b, kappa)
                 ub, vb = chart.to_barred(*grid.mesh(), scale=scale)
                 report = residual_fund(tl, tm, tn, eps, (ub, vb), tol=tol)
 
     payload = {"config": cfg, "report": report.to_json()}
-    text = json.dumps(payload, indent=2)
+    text = _dumps(payload, indent=2)
     print(text)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -424,7 +459,10 @@ def main(argv=None) -> int:
         cfg = _load_json(args.config)
         thread_cap()
         out = args.out or cfg.get("out")
-        tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-6))
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"'out' must be a path string, not {out!r}")
+        tol = (args.tol if args.tol is not None
+               else _config_number(cfg, "tol", 1e-6))
         fmt = args.format or cfg.get("format", "csv")
         if tol <= 0:
             raise ConfigError("tol must be positive")
@@ -439,7 +477,7 @@ def main(argv=None) -> int:
         if args.command == "pde":
             return cmd_pde(cfg, Path(out) if out else None,
                            args.tol if args.tol is not None
-                           else float(cfg.get("tol", 1e-8)))
+                           else _config_number(cfg, "tol", 1e-8))
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,6 +9,10 @@ class OutOfDomain(MeridianError):
     """Evaluation requested outside a declared validity interval."""
 
 
+class InconsistentGeometry(MeridianError):
+    """A curve or surface fails its normalization or frame-closure check at load."""
+
+
 class NonpositiveProfile(MeridianError):
     """Profile radius f(u) is not strictly positive on the requested interval."""
 

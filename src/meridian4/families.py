@@ -32,7 +32,7 @@ from .geometry import (
     latitude_circle,
     profile_from_f_jets,
 )
-from .grids import Grid2
+from .grids import Grid2, json_safe
 
 __all__ = [
     "TAGS",
@@ -398,10 +398,10 @@ class FamilyVerdict:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"property": self.property_name,
-                "max_violation": self.max_violation, "tol": self.tol,
-                "passed": bool(self.passed), "grid": self.grid.to_json(),
-                "details": self.details}
+        return json_safe({"property": self.property_name,
+                          "max_violation": self.max_violation, "tol": self.tol,
+                          "passed": bool(self.passed),
+                          "grid": self.grid.to_json(), "details": self.details})
 
 
 def verify_family(surface: MeridianSurface, spec: FamilySpec, grid: Grid2,

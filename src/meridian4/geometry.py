@@ -34,7 +34,7 @@ from .diffkit import (
     SmoothFn1,
     constant_fn,
 )
-from .errors import MinimalPoint, NonpositiveProfile, OutOfDomain
+from .errors import InconsistentGeometry, MinimalPoint, NonpositiveProfile, OutOfDomain
 from .minkowski import CausalClass, Vec4M, causal_character, inner_arrays
 
 __all__ = [
@@ -109,6 +109,10 @@ class SphericalCurve:
 
     def data(self, v) -> CurveData:
         v = np.asarray(v, dtype=float)
+        if not self.domain.contains(v):
+            raise OutOfDomain(
+                f"v={v} outside directrix domain "
+                f"({self.domain.lo}, {self.domain.hi})")
         jx, jy, jz = self.components(v)
         l3 = np.stack(np.broadcast_arrays(jx.f, jy.f, jz.f), axis=-1)
         t3 = np.stack(np.broadcast_arrays(jx.d1, jy.d1, jz.d1), axis=-1)
@@ -127,7 +131,7 @@ class SphericalCurve:
         unit_l = np.max(np.abs(np.sum(l3 * l3, axis=-1) - 1.0))
         unit_t = np.max(np.abs(np.sum(t3 * t3, axis=-1) - 1.0))
         if max(unit_l, unit_t) > SPHERE_TOL:
-            raise ValueError(
+            raise InconsistentGeometry(
                 f"curve {self.name!r} violates sphere/arc-length normalization "
                 f"(deviation {max(unit_l, unit_t):.3e})")
         # closure of the moving frame: t' = kappa n - l and n' = -kappa t
@@ -136,7 +140,7 @@ class SphericalCurve:
         c2 = np.max(np.abs(d.nprime[..., :3] + kap[..., None] * t3))
         kdev = np.max(np.abs(np.sum(tp3 * n3, axis=-1) - kap))
         if max(c1, c2, kdev) > FRENET_TOL:
-            raise ValueError(
+            raise InconsistentGeometry(
                 f"curve {self.name!r} breaks moving-frame closure "
                 f"(deviation {max(c1, c2, kdev):.3e})")
         # independent cross-check: component jets against central differences
@@ -148,7 +152,7 @@ class SphericalCurve:
                     self.components(np.asarray(w))[k].f)
                 fd1 = (comp(v + h) - comp(v - h)) / (2 * h)
                 if abs(fd1 - jets[k].d1) / (1 + abs(jets[k].d1)) > 1e-5:
-                    raise ValueError(
+                    raise InconsistentGeometry(
                         f"curve {self.name!r}: jet d1 disagrees with finite "
                         f"differences at v={v}")
 
@@ -422,7 +426,7 @@ class MeridianSurface:
         e_dev = np.max(np.abs(inner_arrays(d["z_u"], d["z_u"]) + 1.0))
         g_dev = np.max(np.abs(inner_arrays(d["z_v"], d["z_v"]) - d["f"].f ** 2))
         if max(e_dev, g_dev) > 1e-8:
-            raise ValueError(
+            raise InconsistentGeometry(
                 f"surface {self.name!r}: tangent normalization failed "
                 f"(deviations {e_dev:.3e}, {g_dev:.3e})")
 

@@ -1,11 +1,27 @@
 """Rectangular parameter grids for sweeps and reports."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid2"]
+__all__ = ["Grid2", "json_safe"]
+
+
+def json_safe(obj):
+    """Copy of a JSON payload with every non-finite float replaced by None.
+
+    ``json.dumps`` would write NaN and infinities as the bare tokens
+    ``NaN``/``Infinity``, which are not JSON; None is written as ``null``.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    return obj
 
 
 @dataclass(frozen=True)

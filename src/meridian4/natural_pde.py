@@ -39,7 +39,7 @@ import numpy as np
 from .diffkit import CumulativeQuadrature, SmoothFn1
 from .errors import ChartDomain, EmptyInterval, MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict
 from .geometry import MeridianSurface, _h0_dual, _h_closed, _scale
-from .grids import Grid2
+from .grids import Grid2, json_safe
 from .minkowski import Vec4M, inner_arrays
 
 __all__ = [
@@ -591,12 +591,12 @@ class ResidualReport:
         return max(eq.max_abs for eq in self.equations if eq.gating)
 
     def to_json(self) -> dict:
-        return {"system": self.system, "tol": self.tol,
-                "passed": bool(self.passed), "epsilon": self.epsilon,
-                "grid": self.grid, "details": self.details,
-                "equations": [{"name": e.name, "max_abs": e.max_abs,
-                               "rms": e.rms, "gating": e.gating}
-                              for e in self.equations]}
+        return json_safe({"system": self.system, "tol": self.tol,
+                          "passed": bool(self.passed), "epsilon": self.epsilon,
+                          "grid": self.grid, "details": self.details,
+                          "equations": [{"name": e.name, "max_abs": e.max_abs,
+                                         "rms": e.rms, "gating": e.gating}
+                                        for e in self.equations]})
 
 
 def _grid_points(grid):

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from meridian4 import cli
 from meridian4.cli import main
+from meridian4.natural_pde import geometric_functions
 
 TWO_PI = 6.283185307179586
 
@@ -231,3 +233,205 @@ def test_thread_cap_env(monkeypatch, flat_cfg, tmp_path):
     assert report["threads"] == 4
     monkeypatch.setenv("MERIDIAN_THREADS", "junk")
     assert main(["generate", "--config", flat_cfg, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("generate", lambda c: c.update(directrix={"kind": "latitude", "kappa": "abc"})),
+    ("generate", lambda c: c["family"].update(a="x")),
+    ("generate", lambda c: c.update(directrix="great")),
+    ("verify", lambda c: c.update(tol="x")),
+    ("generate", lambda c: c.update(out=5)),
+    ("pde", lambda c: c.update(system="fund", solution="example1", epsilon="x")),
+])
+def test_malformed_config_is_config_error(command, edit, cmc_cfg, tmp_path,
+                                          capsys):
+    cfg = json.loads(open(cmc_cfg).read())
+    edit(cfg)
+    bad = write_cfg(tmp_path / "bad.json", cfg)
+    assert main([command, "--config", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_non_object_config_is_config_error(tmp_path, capsys):
+    bad = write_cfg(tmp_path / "list.json", [1, 2])
+    assert main(["generate", "--config", bad]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_directrix_domain_failure_exit_code(flat_cfg, tmp_path, capsys):
+    # a curvature directrix on (0, 1) cannot serve a grid out to v = 2 pi
+    cfg = json.loads(open(flat_cfg).read())
+    cfg["directrix"] = {"kind": "curvature", "kappa": "const:0.5",
+                        "v_min": 0.0, "v_max": 1.0}
+    bad = write_cfg(tmp_path / "short.json", cfg)
+    assert main(["generate", "--config", bad]) == 3
+    assert "outside directrix domain" in capsys.readouterr().err
+
+
+def test_inconsistent_directrix_exit_code(flat_cfg, tmp_path, capsys):
+    # RK4 with a step of 0.5 leaves the sphere: the curve fails its load check
+    cfg = json.loads(open(flat_cfg).read())
+    cfg["directrix"] = {"kind": "curvature", "kappa": "sin-offset:2", "h": 0.5}
+    bad = write_cfg(tmp_path / "coarse.json", cfg)
+    assert main(["generate", "--config", bad]) == 3
+    assert "violates sphere/arc-length normalization" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- writers
+# The per-cell csv.writer / f-string writers that the block writers in
+# meridian4.cli replaced, kept as their byte-level reference.
+
+def _ref_causal_name(q, tol=1e-10):
+    if q > tol:
+        return "spacelike"
+    if q < -tol:
+        return "timelike"
+    return "lightlike"
+
+
+def _ref_write_csv(path, sweep):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cli.CSV_COLUMNS)
+        nu, nv = sweep["E"].shape
+        for i in range(nu):
+            for j in range(nv):
+                w.writerow([
+                    f"{sweep['U'][i, j]:.12g}", f"{sweep['V'][i, j]:.12g}",
+                    *(f"{c:.12g}" for c in sweep["z"][i, j]),
+                    *(f"{sweep[k][i, j]:.12g}" for k in
+                      ("E", "F", "G", "K", "Kperp", "h1", "h2", "Hnormsq")),
+                    _ref_causal_name(sweep["E"][i, j]),
+                    _ref_causal_name(sweep["G"][i, j]),
+                ])
+
+
+def _ref_write_obj(path, sweep):
+    z = sweep["z"]
+    nu, nv = z.shape[:2]
+    with open(path, "w") as fh:
+        fh.write("# parametric surface export, y-up, vertices + quads\n")
+        for i in range(nu):
+            for j in range(nv):
+                x1, x2, _, x4 = z[i, j]
+                fh.write(f"v {x1:.9g} {x4:.9g} {x2:.9g}\n")
+        for i in range(nu - 1):
+            for j in range(nv - 1):
+                a = i * nv + j + 1
+                b = (i + 1) * nv + j + 1
+                fh.write(f"f {a} {b} {b + 1} {a + 1}\n")
+
+
+def _ref_grid_json(sweep, echo):
+    nu, nv = sweep["E"].shape
+    rows = [[float(sweep[k][i, j]) for k in ("U", "V")]
+            + [float(c) for c in sweep["z"][i, j]]
+            + [float(sweep[k][i, j]) for k in
+               ("E", "F", "G", "K", "Kperp", "h1", "h2", "Hnormsq")]
+            for i in range(nu) for j in range(nv)]
+    return json.dumps({"config": echo, "columns": cli.CSV_COLUMNS[:14],
+                       "rows": rows})
+
+
+def _ref_geomfuncs_csv(path, surface, grid):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cli.GEOMFUNC_COLUMNS)
+        for u in grid.u_points():
+            for v in grid.v_points():
+                gf = geometric_functions(surface, float(u), float(v))
+                w.writerow([f"{x:.12g}" for x in
+                            [float(u), float(v), *gf.as_array().tolist()]])
+
+
+def _cmc_golden(nu, nv):
+    return {
+        "family": {"tag": "CMC", "a": 1.0, "kappa": 1.0, "c": 1.0,
+                   "f0": 1.0, "u_min": 0.0, "u_max": 1.0, "h": 1e-3},
+        "directrix": {"kind": "latitude", "kappa": 1.0},
+        "grid": {"u_min": 0.01, "u_max": 0.99, "nu": nu,
+                 "v_min": 0.3, "v_max": 0.3 + TWO_PI, "nv": nv},
+    }
+
+
+# f(0) = 5e-6 puts G = f^2 below the lightlike threshold on the first row;
+# the great circle gives -0 cells, and roundoff in K exponent-form ones.
+FLAT_GOLDEN = {
+    "family": {"tag": "Flat", "a": 1.0, "b": 5e-6, "c": 0.0,
+               "u_min": 0.0, "u_max": 1.0},
+    "directrix": {"kind": "great"},
+    "grid": {"u_min": 0.0, "u_max": 1.0, "nu": 9,
+             "v_min": -3.14159, "v_max": 3.14159, "nv": 11},
+}
+
+GOLDEN = {"cmc-12x13": _cmc_golden(12, 13), "flat-9x11": FLAT_GOLDEN,
+          # 8827 rows and 8640 faces: more than one block, and not a multiple
+          "cmc-91x97": _cmc_golden(91, 97)}
+
+
+@pytest.mark.parametrize("name, block_rows", [
+    ("cmc-12x13", None), ("cmc-12x13", 7), ("flat-9x11", None),
+    ("flat-9x11", 7), ("cmc-91x97", None)])
+def test_writers_match_reference_bytes(name, block_rows, tmp_path,
+                                       monkeypatch, capsys):
+    if block_rows:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    cfg = GOLDEN[name]
+    path = write_cfg(tmp_path / "golden.json", cfg)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", path, "--out", str(gen)]) == 0
+    for fmt in ("csv", "obj", "json"):
+        assert main(["export", "--config", path, "--out",
+                     str(tmp_path / fmt), "--format", fmt]) == 0
+
+    surface, _, grid = cli._build_surface(cfg)
+    sweep = cli._sweep(surface, grid)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _ref_write_csv(ref / "surface.csv", sweep)
+    _ref_write_obj(ref / "surface.obj", sweep)
+    ref_csv = (ref / "surface.csv").read_bytes()
+    ref_obj = (ref / "surface.obj").read_bytes()
+    assert (gen / "surface.csv").read_bytes() == ref_csv
+    assert (gen / "surface.obj").read_bytes() == ref_obj
+    assert (tmp_path / "csv" / "surface.csv").read_bytes() == ref_csv
+    assert (tmp_path / "obj" / "surface.obj").read_bytes() == ref_obj
+    assert ((tmp_path / "json" / "surface.json").read_text()
+            == _ref_grid_json(sweep, cfg))
+    if name == "flat-9x11":
+        cells = ref_csv.decode().split("\r\n")[1].split(",")
+        assert "-0" in cells and "lightlike" in cells
+        assert any("e-" in c for c in cells)
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_geomfuncs_csv_matches_reference_bytes(block_rows, tmp_path,
+                                               monkeypatch, capsys):
+    if block_rows:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    cfg = _cmc_golden(6, 5)
+    path = write_cfg(tmp_path / "gf.json", cfg)
+    out = tmp_path / "gf"
+    assert main(["geomfuncs", "--config", path, "--out", str(out)]) == 0
+    surface, _, grid = cli._build_surface(cfg)
+    _ref_geomfuncs_csv(tmp_path / "ref.csv", surface, grid)
+    assert ((out / "geomfuncs.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_grid_json_writes_nonfinite_as_null(flat_cfg, tmp_path):
+    surface, _, grid = cli._build_surface(json.loads(open(flat_cfg).read()))
+    sweep = {k: np.array(a) for k, a in cli._sweep(surface, grid).items()}
+    sweep["K"][0, 0] = np.nan
+    sweep["Kperp"][0, 1] = np.inf
+    sweep["h1"][1, 0] = -np.inf
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    cli._write_grid_json(tmp_path / "s.json", sweep, {})
+    data = json.loads((tmp_path / "s.json").read_text(), parse_constant=reject)
+    rows = data["rows"]
+    assert rows[0][9] is None and rows[1][10] is None and rows[12][11] is None
+    assert all(isinstance(x, float) for r in rows[2:12] for x in r)

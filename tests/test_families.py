@@ -5,6 +5,7 @@ import pytest
 
 from meridian4 import (
     FamilySpec,
+    FamilyVerdict,
     Grid2,
     Interval,
     MeridianSurface,
@@ -289,3 +290,19 @@ def test_ode_stop_is_recorded_not_raised():
     assert p.ode is not None
     assert p.ode.stopped_reason is not None
     assert p.domain.hi < 2.0
+
+
+def test_verdict_json_writes_nonfinite_as_null():
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    with pytest.raises(ValueError):
+        json.loads(json.dumps({"v": float("nan")}), parse_constant=reject)
+    grid = Grid2(0.0, 1.0, 3, 0.0, 1.0, 3)
+    verdict = FamilyVerdict("cmc-norm", float("nan"), 1e-6, False, grid,
+                            details={"max_DXH": float("inf"), "target_norm": 1.0})
+    data = json.loads(json.dumps(verdict.to_json(), allow_nan=False),
+                      parse_constant=reject)
+    assert data["max_violation"] is None
+    assert data["details"] == {"max_DXH": None, "target_norm": 1.0}
+    assert data["tol"] == 1e-6 and data["grid"]["nu"] == 3

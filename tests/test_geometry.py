@@ -19,7 +19,7 @@ from meridian4 import (
     sin_offset_fn,
     verify_frame,
 )
-from meridian4.errors import MinimalPoint, OutOfDomain
+from meridian4.errors import InconsistentGeometry, MeridianError, MinimalPoint, OutOfDomain
 
 FRAME_GRAM = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -57,9 +57,19 @@ def test_user_curve_is_validated_at_load():
         return (2.0 * j.cos(), 2.0 * j.sin(),
                 Jet3(0.0 * np.asarray(v, dtype=float)))
 
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentGeometry):
         SphericalCurve(components=components, curvature=constant_fn(0.0),
                        domain=Interval(0, 2 * np.pi))
+    assert issubclass(InconsistentGeometry, MeridianError)
+
+
+def test_curve_data_enforces_domain():
+    curve = curve_from_curvature(constant_fn(0.5), (0.0, 1.0))
+    assert curve.data(0.5).l.shape == (4,)
+    with pytest.raises(OutOfDomain):
+        curve.data(3.0)
+    with pytest.raises(OutOfDomain):
+        curve.data(np.array([0.5, -0.2]))
 
 
 def test_user_curve_with_consistent_jets_loads():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,9 @@ from meridian4 import (
 from meridian4.errors import ChartDomain, EmptyInterval, MinimalPoint, MuVanishes
 from meridian4.natural_pde import (
     ISOTROPIC_GRAM,
+    EquationResidual,
     IsotropicChart,
+    ResidualReport,
     ScalarField2,
     canonical_scale,
     closed_geometric_functions_pnmc1,
@@ -399,3 +403,20 @@ def test_mu_vanishing_is_rejected():
     mu = _const_field(0.0)
     with pytest.raises(MuVanishes):
         residual_fund(lam, mu, nu, -1, Grid2(0, 1, 4, 0, 1, 4), tol=1e-8)
+
+
+def test_residual_report_json_writes_nonfinite_as_null():
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    report = ResidualReport(
+        system="syst1", tol=1e-8, passed=False,
+        equations=(EquationResidual("eq1", float("nan"), float("inf")),
+                   EquationResidual("eq2", 1e-12, 1e-13)),
+        details={"scale": float("-inf")})
+    data = json.loads(json.dumps(report.to_json(), allow_nan=False),
+                      parse_constant=reject)
+    assert data["equations"][0]["max_abs"] is None
+    assert data["equations"][0]["rms"] is None
+    assert data["equations"][1]["max_abs"] == 1e-12
+    assert data["details"]["scale"] is None
