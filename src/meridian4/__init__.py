@@ -6,7 +6,6 @@ invariants with order-3 jets, and verifying the classification
 statements and natural-PDE solutions as machine-checkable properties.
 """
 from .diffkit import (
-    Dual,
     Interval,
     Jet3,
     OdeSolution,

@@ -238,28 +238,25 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """Geometric functions: numeric route equals closed forms; beta = 0."""
+    V = np.linspace(0.2, 5.8, 5)[None, :]
+
+    def measure(surface, U, closed):
+        """max |numeric - closed| and max |beta1|, |beta2| on the U x V grid."""
+        gf = geometric_functions(surface, U, V)
+        diff = float(np.max(np.abs(gf.as_array() - closed.as_array())))
+        beta = float(np.max(np.abs([gf.beta1, gf.beta2])))
+        return diff, beta
+
     s1, _, _ = standard_instances()["PNMC1"]
-    us = np.linspace(-0.85, 0.85, 5)
-    vs = np.linspace(0.2, 5.8, 5)
-    diff1 = beta1 = 0.0
-    for u in us:
-        for v in vs:
-            gf = geometric_functions(s1, float(u), float(v))
-            cf = closed_geometric_functions_pnmc1(0.0, 1.0, 2.0, float(u))
-            diff1 = max(diff1, float(np.max(np.abs(gf.as_array() - cf.as_array()))))
-            beta1 = max(beta1, abs(gf.beta1), abs(gf.beta2))
+    U1 = np.linspace(-0.85, 0.85, 5)[:, None]
+    diff1, beta1 = measure(s1, U1,
+                           closed_geometric_functions_pnmc1(0.0, 1.0, 2.0, U1))
 
     s2, _, _ = standard_instances()["PNMC2"]
-    us2 = np.linspace(0.02, 0.78, 5)
-    diff2 = beta2 = 0.0
-    for u in us2:
-        jets = s2.profile.jets(float(u))
-        for v in vs:
-            gf = geometric_functions(s2, float(u), float(v))
-            cf = closed_geometric_functions_pnmc2(2.0, 1.0, 1.0,
-                                                  jets.f.f, jets.f.d1)
-            diff2 = max(diff2, float(np.max(np.abs(gf.as_array() - cf.as_array()))))
-            beta2 = max(beta2, abs(gf.beta1), abs(gf.beta2))
+    U2 = np.linspace(0.02, 0.78, 5)[:, None]
+    fj = s2.profile.jets(U2).f
+    diff2, beta2 = measure(s2, U2, closed_geometric_functions_pnmc2(
+        2.0, 1.0, 1.0, fj.f, fj.d1))
     return CriterionResult(7, "geometric functions, numeric vs closed", (
         Check("case (i) max diff (25 pts)", diff1, 1e-6),
         Check("case (ii) max diff (25 pts)", diff2, 1e-6),

@@ -56,7 +56,6 @@ from .errors import MeridianError
 from .families import FamilySpec, build_profile, verify_family
 from .geometry import MeridianSurface, curve_from_curvature, great_circle, latitude_circle
 from .grids import Grid2, json_safe
-from .minkowski import inner_arrays
 from .natural_pde import (
     IsotropicChart,
     ScalarField2,
@@ -179,16 +178,16 @@ def _build_surface(cfg: dict) -> tuple:
 
 def _sweep(surface: MeridianSurface, grid: Grid2) -> dict:
     U, V = grid.mesh()
-    d = surface._raw(U, V)
-    E = inner_arrays(d["z_u"], d["z_u"])
-    F = inner_arrays(d["z_u"], d["z_v"])
-    G = inner_arrays(d["z_v"], d["z_v"])
+    sample = surface._raw(U, V)
+    E, F, G = sample.first_form()
+    # The curvatures go through the public methods, whose calls the
+    # benchmark traces; each builds only the arrays it reads.
     k = surface.gauss_curvature(U, V)
     kperp = surface.normal_curvature(U, V)
     mc = surface.mean_curvature(U, V)
     h1 = np.broadcast_to(mc.h1, E.shape)
     h2 = np.broadcast_to(mc.h2, E.shape)
-    z = np.broadcast_to(d["z"], E.shape + (4,))
+    z = np.broadcast_to(sample.z, E.shape + (4,))
     return {
         "U": np.broadcast_to(U, E.shape), "V": np.broadcast_to(V, E.shape),
         "z": z, "E": E, "F": F, "G": G,
@@ -331,16 +330,14 @@ def cmd_verify(cfg: dict, out_dir: Path | None, tol: float) -> int:
 def cmd_geomfuncs(cfg: dict, out_dir: Path, fmt: str) -> int:
     surface, spec, grid = _build_surface(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for u in grid.u_points():
-        for v in grid.v_points():
-            gf = geometric_functions(surface, float(u), float(v))
-            rows.append([float(u), float(v), *gf.as_array().tolist()])
+    U, V = grid.mesh()
+    gf = geometric_functions(surface, U, V)
+    cols = [np.ravel(c) for c in np.broadcast_arrays(U, V, *gf.as_array())]
     if fmt == "json":
         (out_dir / "geomfuncs.json").write_text(_dumps(
-            {"config": cfg, "columns": GEOMFUNC_COLUMNS, "rows": rows}))
+            {"config": cfg, "columns": GEOMFUNC_COLUMNS,
+             "rows": np.stack(cols, axis=1).tolist()}))
     else:
-        cols = list(np.array(rows).T)
         with open(out_dir / "geomfuncs.csv", "w", newline="") as fh:
             fh.write(",".join(GEOMFUNC_COLUMNS) + "\r\n")
             fh.writelines(_row_blocks(_csv_template(len(cols)), cols))

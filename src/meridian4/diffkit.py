@@ -35,7 +35,6 @@ from .errors import (
 __all__ = [
     "Interval",
     "Jet3",
-    "Dual",
     "SmoothFn1",
     "OdeSolution",
     "integrate_profile",
@@ -82,7 +81,11 @@ class Interval:
 
 @dataclass(frozen=True, eq=False)
 class Jet3:
-    """Value and first three derivatives of a scalar function at a point."""
+    """Value and first three derivatives of a scalar function at a point.
+
+    Seeded as ``Jet3(x, dx)`` (d2 = d3 = 0) it is a first-order jet: d1
+    of the result is exact, while its d2 and d3 carry no meaning.
+    """
 
     f: "ArrayLike"
     d1: "ArrayLike" = 0.0
@@ -206,50 +209,6 @@ class Jet3:
 
 def _as_jet(x) -> Jet3:
     return x if isinstance(x, Jet3) else Jet3.constant(x)
-
-
-@dataclass(frozen=True, eq=False)
-class Dual:
-    """First-order jet (value, derivative); used for coefficient derivatives."""
-
-    f: "ArrayLike"
-    d1: "ArrayLike" = 0.0
-
-    def __add__(self, other):
-        o = _as_dual(other)
-        return Dual(self.f + o.f, self.d1 + o.d1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.f, -self.d1)
-
-    def __sub__(self, other):
-        return self + (-_as_dual(other))
-
-    def __rsub__(self, other):
-        return _as_dual(other) + (-self)
-
-    def __mul__(self, other):
-        o = _as_dual(other)
-        return Dual(self.f * o.f, self.d1 * o.f + self.f * o.d1)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_dual(other)
-        return Dual(self.f / o.f, (self.d1 * o.f - self.f * o.d1) / o.f ** 2)
-
-    def __rtruediv__(self, other):
-        return _as_dual(other) / self
-
-    def sqrt(self) -> "Dual":
-        r = np.sqrt(self.f)
-        return Dual(r, 0.5 * self.d1 / r)
-
-
-def _as_dual(x) -> Dual:
-    return x if isinstance(x, Dual) else Dual(x, 0.0)
 
 
 @dataclass(frozen=True)
@@ -432,9 +391,9 @@ class OdeSolution:
         steps = (u - self.u0) / self.h
         idx = np.clip(np.floor(steps + 1e-9).astype(int), 0,
                       len(self.values) - 1)
-        delta = u - (self.u0 + idx * self.h)
-        y = self.values[idx]
-        out = _rk4_step(lambda t: self.phi.eval_jet(t).f, y, delta)
+        node = self.u0 + idx * self.h
+        out = _rk4_step(lambda _, f: self.phi.eval_jet(f).f,
+                        node, self.values[idx], u - node)
         return out if u.ndim else float(out)
 
     def jet_at(self, u) -> Jet3:
@@ -447,12 +406,17 @@ class OdeSolution:
         return Jet3(y, d1, d2, d3)
 
 
-def _rk4_step(rhs, y, h):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
+def _rk4_step(rhs, t, y, h):
+    """One classical RK4 step of y' = rhs(t, y) from (t, y) with step h."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
     return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+class _EarlyStop(Exception):
+    """Raised by a checking right-hand side; the message is the reason."""
 
 
 def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
@@ -477,48 +441,29 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
     if not np.isfinite(p0):
         raise InvalidInitialState(f"phi(f0) is not finite at f0={f0}")
 
-    n_steps = int(round((u1 - u0) / h))
-    n_steps = max(n_steps, 1)
+    def slope(_, f):
+        if not (np.isfinite(f) and phi.domain.contains(f)):
+            raise _EarlyStop("stage left phi domain")
+        k = phi.eval_jet(f).f
+        if not np.isfinite(k):
+            raise _EarlyStop("phi not finite at stage")
+        if abs(k) > overflow_bound:
+            raise _EarlyStop("derivative overflow")
+        return k
+
+    n_steps = max(int(round((u1 - u0) / h)), 1)
     values = [float(f0)]
     stopped = None
-    rhs = lambda t: phi.eval_jet(t).f
     y = float(f0)
     for i in range(n_steps):
-        y_next, why = _guarded_rk4_step(rhs, y, h, phi.domain, overflow_bound)
-        if y_next is None:
-            stopped = f"{why} at u={u0 + i * h:.6g}"
+        u = u0 + i * h
+        try:
+            y = float(_rk4_step(slope, u, y, h))
+            if not (np.isfinite(y) and phi.domain.contains(y)):
+                raise _EarlyStop("state left phi domain")
+        except _EarlyStop as stop:
+            stopped = f"{stop} at u={u:.6g}"
             break
-        y = y_next
         values.append(y)
     return OdeSolution(phi=phi, u0=u0, h=h, values=np.array(values),
                        requested_end=u1, stopped_reason=stopped)
-
-
-def _guarded_rk4_step(rhs, y, h, domain: Interval, bound: float):
-    """One RK4 step, or (None, reason) when a stage leaves the safe region."""
-    def slope(t):
-        if not (np.isfinite(t) and domain.contains(t)):
-            return None, "stage left phi domain"
-        k = rhs(t)
-        if not np.isfinite(k):
-            return None, "phi not finite at stage"
-        if abs(k) > bound:
-            return None, "derivative overflow"
-        return k, ""
-
-    k1, why = slope(y)
-    if k1 is None:
-        return None, why
-    k2, why = slope(y + 0.5 * h * k1)
-    if k2 is None:
-        return None, why
-    k3, why = slope(y + 0.5 * h * k2)
-    if k3 is None:
-        return None, why
-    k4, why = slope(y + h * k3)
-    if k4 is None:
-        return None, why
-    y_next = float(y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-    if not (np.isfinite(y_next) and domain.contains(y_next)):
-        return None, "state left phi domain"
-    return y_next, ""

@@ -15,23 +15,30 @@ All point operations accept scalars or broadcastable numpy arrays in
 :class:`InvariantReport`) are for single points.  Ambient vectors are
 arrays with a trailing axis of length 4 in the basis (e1, e2, e3, e4).
 
+Each :class:`MeridianSurface` call evaluates the profile jets and the
+directrix once, as a :class:`SurfaceSample`, and derives its result
+from that sample.  The sample builds each ambient array (a partial of
+z, a frame field, a partial of a frame field) when it is first read,
+so a call pays only for the arrays its quantity needs.
+
 Surfaces and curves are immutable after construction; every evaluation
 is pure, so grid sweeps may be parallelized freely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .diffkit import (
     CumulativeQuadrature,
-    Dual,
     Interval,
     Jet3,
     OdeSolution,
     SmoothFn1,
+    _rk4_step,
     constant_fn,
 )
 from .errors import InconsistentGeometry, MinimalPoint, NonpositiveProfile, OutOfDomain
@@ -41,6 +48,7 @@ __all__ = [
     "SphericalCurve",
     "MeridianProfile",
     "MeridianSurface",
+    "SurfaceSample",
     "SurfaceJet",
     "FrameAtPoint",
     "InvariantReport",
@@ -53,7 +61,7 @@ _E4 = np.array([0.0, 0.0, 0.0, 1.0])
 
 SPHERE_TOL = 1e-10     # |<l,l>-1|, |<l',l'>-1|
 FRENET_TOL = 1e-8      # Frenet closure of the directrix frame
-PROFILE_TOL = 1e-10    # |f'^2 - g'^2 + 1|
+PROFILE_TOL = 1e-10    # |f'^2 - g'^2 + 1| / (1 + f'^2)
 MINIMAL_H_TOL = 1e-12  # <H,H> at or below this counts as a minimal point
 
 
@@ -76,8 +84,9 @@ class CurveData(NamedTuple):
     """Directrix position/derivative vectors and curvature jet at v.
 
     All ambient entries are (..., 4) arrays with vanishing e4 component:
-    l and its first three v-derivatives, plus the unit normal n = l x l'
-    and its derivative n' = l x l''.
+    l and its first three v-derivatives (fields 0-3, so ``data[j]`` is
+    the j-th derivative), plus the unit normal n = l x l' and its
+    derivative n' = l x l''.
     """
 
     l: np.ndarray
@@ -199,33 +208,20 @@ def curve_from_curvature(kappa: SmoothFn1, v_range: tuple[float, float],
     state = np.zeros((n_steps + 1, 9))
     state[0] = np.array([1, 0, 0, 0, 1, 0, 0, 0, 1], dtype=float)
 
-    def rhs(y, v):
+    def rhs(v, y):
+        # v is a scalar, or has a trailing axis of length 1 like the steps
         l, t, n = y[..., 0:3], y[..., 3:6], y[..., 6:9]
-        k = kappa.eval_jet(v).f
-        k = np.asarray(k)[..., None]
+        k = np.asarray(kappa.eval_jet(v).f)
         return np.concatenate([t, k * n - l, -k * t], axis=-1)
 
-    y = state[0]
     for i in range(n_steps):
-        v = v0 + i * h
-        k1 = rhs(y, v)
-        k2 = rhs(y + 0.5 * h * k1, v + 0.5 * h)
-        k3 = rhs(y + 0.5 * h * k2, v + 0.5 * h)
-        k4 = rhs(y + h * k3, v + h)
-        y = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        state[i + 1] = y
+        state[i + 1] = _rk4_step(rhs, v0 + i * h, state[i], h)
 
     def state_at(v):
-        v = np.asarray(v, dtype=float)
-        idx = np.clip(((v - v0) / h).astype(int), 0, n_steps)
-        delta = (v - (v0 + idx * h))[..., None]
-        y = state[idx]
-        vv = v0 + idx * h
-        k1 = rhs(y, vv)
-        k2 = rhs(y + 0.5 * delta * k1, vv + 0.5 * delta[..., 0])
-        k3 = rhs(y + 0.5 * delta * k2, vv + 0.5 * delta[..., 0])
-        k4 = rhs(y + delta * k3, vv + delta[..., 0])
-        return y + delta * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        v = np.asarray(v, dtype=float)[..., None]
+        idx = np.clip(((v[..., 0] - v0) / h).astype(int), 0, n_steps)
+        node = (v0 + idx * h)[..., None]
+        return _rk4_step(rhs, node, state[idx], v - node)
 
     def components(v):
         v = np.asarray(v, dtype=float)
@@ -280,11 +276,13 @@ class MeridianProfile:
         if np.any(fj.f <= 0):
             raise NonpositiveProfile(
                 f"profile {self.name!r}: f <= 0 inside the domain")
-        dev = np.max(np.abs(fj.d1 ** 2 - gj.d1 ** 2 + 1.0))
+        # relative: the cancellation in f'^2 - g'^2 grows with f'^2
+        fd_sq = fj.d1 ** 2
+        dev = np.max(np.abs(fd_sq - gj.d1 ** 2 + 1.0) / (1.0 + fd_sq))
         if dev > PROFILE_TOL:
             raise NonpositiveProfile(
                 f"profile {self.name!r}: f'^2 - g'^2 = -1 violated "
-                f"(deviation {dev:.3e})")
+                f"(relative deviation {dev:.3e})")
 
     def jets(self, u) -> ProfileJets:
         u = np.asarray(u, dtype=float)
@@ -342,7 +340,7 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
 
 
 # ===========================================================================
-# the surface and its pointwise records
+# the surface, one batch evaluation of it, and its pointwise records
 # ===========================================================================
 
 @dataclass(frozen=True)
@@ -411,9 +409,189 @@ class InvariantReport:
     causal_z_v: CausalClass
 
 
+def _z_partial(i: int, j: int) -> cached_property:
+    """Lazy i-th u-, j-th v-partial of z = f l + g e4 on a sample:
+    f^(i) l^(j), plus g^(i) e4 when j = 0."""
+    def build(s):
+        part = _scale(s.f.derivatives()[i], s.curve[j])
+        return part + _scale(s.g.derivatives()[i], _E4) if j == 0 else part
+    return cached_property(build)
+
+
+@dataclass(frozen=True, eq=False)
+class SurfaceSample:
+    """The surface evaluated once at broadcastable (u, v).
+
+    Holds the profile jets and the directrix data.  Each ambient array,
+    shape (..., 4), is built when first read and then kept, and every
+    invariant below is derived from these arrays: the partials of z, the
+    frame X = z_u, Y = l', N1 = l x l', N2 = g' l + f' e4, and the
+    frame's partials.
+    """
+
+    f: Jet3
+    g: Jet3
+    curve: CurveData
+
+    # z and its partials up to order 3; only evaluate reads the third ones
+    z, z_u, z_v = _z_partial(0, 0), _z_partial(1, 0), _z_partial(0, 1)
+    z_uu, z_uv, z_vv = _z_partial(2, 0), _z_partial(1, 1), _z_partial(0, 2)
+    z_uuu, z_uuv = _z_partial(3, 0), _z_partial(2, 1)
+    z_uvv, z_vvv = _z_partial(1, 2), _z_partial(0, 3)
+
+    # the frame and its partials; N1 does not depend on u
+    X = property(lambda s: s.z_u)
+    Y = property(lambda s: s.curve.t)
+    N1 = property(lambda s: s.curve.n)
+    N2 = cached_property(
+        lambda s: _scale(s.g.d1, s.curve.l) + _scale(s.f.d1, _E4))
+    dN1_u = cached_property(lambda s: np.zeros_like(s.N1))
+    dN1_v = property(lambda s: s.curve.nprime)
+    dN2_u = cached_property(
+        lambda s: _scale(s.g.d2, s.curve.l) + _scale(s.f.d2, _E4))
+    dN2_v = cached_property(lambda s: _scale(s.g.d1, s.curve.t))
+
+    # -- invariants --------------------------------------------------------
+    def first_form(self) -> tuple:
+        """(E, F, G) measured from the ambient jets, not from closed forms."""
+        E = inner_arrays(self.z_u, self.z_u)
+        F = inner_arrays(self.z_u, self.z_v)
+        G = inner_arrays(self.z_v, self.z_v)
+        return E, F, G
+
+    def gauss_curvature(self) -> GaussCurvature:
+        """K from the defining formula via the frame and the second
+        derivatives of z, and from the closed form f''/f."""
+        f = self.f.f
+        X, Y, N1, N2 = self.X, self.Y, self.N1, self.N2
+
+        def normal_part(w):
+            return (inner_arrays(w, N1)[..., None] * N1
+                    + inner_arrays(w, N2)[..., None] * N2)
+
+        s_xx = normal_part(self.z_uu)
+        s_xy = normal_part(_scale(1.0 / f, self.z_uv))
+        s_yy = normal_part(_scale(1.0 / f ** 2, self.z_vv))
+        num = inner_arrays(s_xx, s_yy) - inner_arrays(s_xy, s_xy)
+        den = (inner_arrays(X, X) * inner_arrays(Y, Y)
+               - inner_arrays(X, Y) ** 2)
+        return GaussCurvature(frame_route=num / den,
+                              profile_route=self.f.d2 / f)
+
+    def normal_curvature(self):
+        """Curvature of the normal connection via its coefficient field.
+
+        With b_u = <d_u N1, N2> and b_v = <d_v N1, N2>, the curvature
+        operator on coordinate fields has the single component
+        d_u b_v - d_v b_u, and the invariant normalizes by the frame:
+        K_perp = -(d_u b_v - d_v b_u) / f.
+        """
+        N2 = self.N2
+        dN1_uv = self.dN1_u        # d_u N1 = 0, so d_v d_u N1 = 0 too
+        du_bv = inner_arrays(dN1_uv, N2) + inner_arrays(self.dN1_v, self.dN2_u)
+        dv_bu = inner_arrays(dN1_uv, N2) + inner_arrays(self.dN1_u, self.dN2_v)
+        return -(du_bv - dv_bu) / self.f.f
+
+    def h_closed(self) -> tuple:
+        """H components along (N1, N2): closed form in the profile jets."""
+        f, fd, fdd = self.f.f, self.f.d1, self.f.d2
+        kap = self.curve.kappa.f
+        h1 = kap / (2.0 * f)
+        h2 = -(1.0 + fd ** 2 + f * fdd) / (2.0 * f * self.g.d1)
+        return h1, h2
+
+    def mean_curvature(self) -> MeanCurvature:
+        """H by the closed form and through the measured first form and
+        normal projections of the second derivatives."""
+        E, F, G = self.first_form()
+        det = E * G - F ** 2
+        jet_route = []
+        for N in (self.N1, self.N2):
+            s_uu = inner_arrays(self.z_uu, N)
+            s_uv = inner_arrays(self.z_uv, N)
+            s_vv = inner_arrays(self.z_vv, N)
+            jet_route.append((G * s_uu - 2.0 * F * s_uv + E * s_vv) / (2.0 * det))
+        return MeanCurvature(*self.h_closed(), *jet_route)
+
+    def h_jets(self, seed: str) -> tuple:
+        """(h1, h2) as first-order jets of one parameter.
+
+        seed="u": f-quantities carry their u-derivative, kappa is constant.
+        seed="v": f-quantities are constants, kappa carries kappa'.
+        """
+        fj, gj, kj = self.f, self.g, self.curve.kappa
+        if seed == "u":
+            f, fd, fdd, gd, kap = (Jet3(fj.f, fj.d1), Jet3(fj.d1, fj.d2),
+                                   Jet3(fj.d2, fj.d3), Jet3(gj.d1, gj.d2),
+                                   Jet3(kj.f))
+        else:
+            f, fd, fdd, gd, kap = (Jet3(fj.f), Jet3(fj.d1), Jet3(fj.d2),
+                                   Jet3(gj.d1), Jet3(kj.f, kj.d1))
+        two_f = 2.0 * f
+        h1 = kap / two_f
+        h2 = -(1.0 + fd * fd + f * fdd) / (two_f * gd)
+        return h1, h2
+
+    def h0_jets(self, seed: str) -> tuple:
+        """Components of H0 = H / ||H|| as first-order jets, like h_jets."""
+        h1, h2 = self.h_jets(seed)
+        norm = (h1 * h1 + h2 * h2).sqrt()
+        return h1 / norm, h2 / norm
+
+    def _normal_derivative(self, jets) -> tuple:
+        """(D_X, D_Y) of the normal field whose (N1, N2) components
+        ``jets(seed)`` gives, each as (N1, N2) components."""
+        au, bu = jets("u")
+        av, bv = jets("v")
+        # normal-connection coefficients b_w = <d_w N1, N2>
+        b_u = inner_arrays(self.dN1_u, self.N2)
+        b_v = inner_arrays(self.dN1_v, self.N2)
+        f = self.f.f
+        dx = (au.d1 - bu.f * b_u, bu.d1 + au.f * b_u)
+        dy = ((av.d1 - bv.f * b_v) / f, (bv.d1 + av.f * b_v) / f)
+        return dx, dy
+
+    def normal_derivative_H(self) -> tuple:
+        """(D_X H, D_Y H), each as (N1, N2) components.
+
+        Scalar derivatives are propagated analytically through the
+        order-3 profile jets; the normal-connection coefficients are
+        measured from the frame fields (they vanish identically for
+        this surface class, but enter the formula).
+        """
+        return self._normal_derivative(self.h_jets)
+
+    def normal_derivative_H0(self, tol: float = MINIMAL_H_TOL) -> tuple:
+        """(D_X H0, D_Y H0) for the unit field H0 = H / ||H||."""
+        h1, h2 = self.h_closed()
+        if np.any(h1 ** 2 + h2 ** 2 <= tol):
+            raise MinimalPoint("H vanishes (to tolerance); H0 undefined")
+        return self._normal_derivative(self.h0_jets)
+
+    def normal_field_derivatives(self, combo: tuple = (1.0, 0.0)) -> tuple:
+        """Ambient partials of the field a*N1 + b*N2 for constants (a, b).
+
+        Returns (d_u field, d_v field) as (..., 4) arrays; a constant
+        field witnesses that the surface lies in a hyperplane.
+        """
+        a, b = combo
+        return (a * self.dN1_u + b * self.dN2_u,
+                a * self.dN1_v + b * self.dN2_v)
+
+
+def _vectors(record, sample: SurfaceSample):
+    """A pointwise record of Vec4M fields read from a one-point sample."""
+    return record(**{f.name: Vec4M.from_array(getattr(sample, f.name))
+                     for f in fields(record)})
+
+
 @dataclass(frozen=True)
 class MeridianSurface:
-    """The immersion z(u, v) = f(u) l(v) + g(u) e4."""
+    """The immersion z(u, v) = f(u) l(v) + g(u) e4.
+
+    Every method makes one batch evaluation, :meth:`_raw`, and derives
+    its result from that :class:`SurfaceSample`.
+    """
 
     profile: MeridianProfile
     directrix: SphericalCurve
@@ -422,237 +600,60 @@ class MeridianSurface:
     def __post_init__(self):
         us = self.profile.domain.sample(5)
         vs = self.directrix.domain.sample(5)
-        d = self._raw(us[:, None], vs[None, :])
-        e_dev = np.max(np.abs(inner_arrays(d["z_u"], d["z_u"]) + 1.0))
-        g_dev = np.max(np.abs(inner_arrays(d["z_v"], d["z_v"]) - d["f"].f ** 2))
+        s = self._raw(us[:, None], vs[None, :])
+        E, _, G = s.first_form()
+        f_sq = s.f.f ** 2
+        e_dev = np.max(np.abs(E + 1.0) / (1.0 + s.f.d1 ** 2))
+        g_dev = np.max(np.abs(G - f_sq) / f_sq)
         if max(e_dev, g_dev) > 1e-8:
             raise InconsistentGeometry(
                 f"surface {self.name!r}: tangent normalization failed "
-                f"(deviations {e_dev:.3e}, {g_dev:.3e})")
+                f"(relative deviations {e_dev:.3e}, {g_dev:.3e})")
 
-    # -- raw vectorized evaluation ----------------------------------------
-    def _raw(self, u, v) -> dict:
-        """All ambient jets at broadcastable (u, v); keys are plain arrays."""
-        fj, gj = self.profile.jets(u)
-        cd = self.directrix.data(v)
-        e4 = _E4
-        out = {
-            "f": fj, "g": gj, "curve": cd,
-            "z": _scale(fj.f, cd.l) + _scale(gj.f, e4),
-            "z_u": _scale(fj.d1, cd.l) + _scale(gj.d1, e4),
-            "z_v": _scale(fj.f, cd.t),
-            "z_uu": _scale(fj.d2, cd.l) + _scale(gj.d2, e4),
-            "z_uv": _scale(fj.d1, cd.t),
-            "z_vv": _scale(fj.f, cd.tp),
-            "z_uuu": _scale(fj.d3, cd.l) + _scale(gj.d3, e4),
-            "z_uuv": _scale(fj.d2, cd.t),
-            "z_uvv": _scale(fj.d1, cd.tp),
-            "z_vvv": _scale(fj.f, cd.tpp),
-        }
-        out["N1"] = cd.n
-        out["N2"] = _scale(gj.d1, cd.l) + _scale(fj.d1, e4)
-        out["X"] = out["z_u"]
-        out["Y"] = cd.t
-        return out
+    def _raw(self, u, v) -> SurfaceSample:
+        """One batch evaluation at broadcastable (u, v)."""
+        f, g = self.profile.jets(u)
+        return SurfaceSample(f=f, g=g, curve=self.directrix.data(v))
 
     # -- spec operations ---------------------------------------------------
     def evaluate(self, u: float, v: float) -> SurfaceJet:
-        d = self._raw(u, v)
-        pick = lambda k: Vec4M.from_array(d[k])
-        return SurfaceJet(z=pick("z"), z_u=pick("z_u"), z_v=pick("z_v"),
-                          z_uu=pick("z_uu"), z_uv=pick("z_uv"),
-                          z_vv=pick("z_vv"), z_uuu=pick("z_uuu"),
-                          z_uuv=pick("z_uuv"), z_uvv=pick("z_uvv"),
-                          z_vvv=pick("z_vvv"))
+        return _vectors(SurfaceJet, self._raw(u, v))
 
     def frame(self, u: float, v: float) -> FrameAtPoint:
-        d = self._raw(u, v)
-        return FrameAtPoint(X=Vec4M.from_array(d["X"]),
-                            Y=Vec4M.from_array(d["Y"]),
-                            N1=Vec4M.from_array(d["N1"]),
-                            N2=Vec4M.from_array(d["N2"]))
+        return _vectors(FrameAtPoint, self._raw(u, v))
 
     def first_form(self, u, v) -> tuple:
-        """(E, F, G) measured from the ambient jets, not from closed forms."""
-        d = self._raw(u, v)
-        E = inner_arrays(d["z_u"], d["z_u"])
-        F = inner_arrays(d["z_u"], d["z_v"])
-        G = inner_arrays(d["z_v"], d["z_v"])
-        return E, F, G
+        return self._raw(u, v).first_form()
 
     def gauss_curvature(self, u, v) -> GaussCurvature:
-        d = self._raw(u, v)
-        return GaussCurvature(frame_route=_gauss_frame_route(d),
-                              profile_route=d["f"].d2 / d["f"].f)
+        return self._raw(u, v).gauss_curvature()
 
     def normal_curvature(self, u, v):
-        """Curvature of the normal connection via its coefficient field.
-
-        With b_u = <d_u N1, N2> and b_v = <d_v N1, N2>, the curvature
-        operator on coordinate fields has the single component
-        d_u b_v - d_v b_u, and the invariant normalizes by the frame:
-        K_perp = -(d_u b_v - d_v b_u) / f.
-        """
-        d = self._raw(u, v)
-        fj, gj, cd = d["f"], d["g"], d["curve"]
-        dN1_u = np.zeros_like(d["N1"])
-        dN1_v = cd.nprime
-        dN1_uv = np.zeros_like(d["N1"])
-        dN2_u = _scale(gj.d2, cd.l) + _scale(fj.d2, _E4)
-        dN2_v = _scale(gj.d1, cd.t)
-        du_bv = inner_arrays(dN1_uv, d["N2"]) + inner_arrays(dN1_v, dN2_u)
-        dv_bu = inner_arrays(dN1_uv, d["N2"]) + inner_arrays(dN1_u, dN2_v)
-        return -(du_bv - dv_bu) / fj.f
+        return self._raw(u, v).normal_curvature()
 
     def mean_curvature(self, u, v) -> MeanCurvature:
-        d = self._raw(u, v)
-        h1c, h2c = _h_closed(d)
-        h1j, h2j = _h_jet_route(d)
-        return MeanCurvature(h1=h1c, h2=h2c, h1_jet=h1j, h2_jet=h2j)
+        return self._raw(u, v).mean_curvature()
 
     def normal_derivative_H(self, u, v) -> tuple:
-        """(D_X H, D_Y H), each as (N1, N2) components.
-
-        Scalar derivatives are propagated analytically through the
-        order-3 profile jets; the normal-connection coefficients are
-        measured from the frame fields (they vanish identically for
-        this surface class, but enter the formula).
-        """
-        d = self._raw(u, v)
-        h1u, h2u = _h_dual(d, seed="u")
-        h1v, h2v = _h_dual(d, seed="v")
-        b_u, b_v = _connection_coefficients(d)
-        f = d["f"].f
-        dx = (h1u.d1 - h2u.f * b_u, h2u.d1 + h1u.f * b_u)
-        dy = ((h1v.d1 - h2v.f * b_v) / f, (h2v.d1 + h1v.f * b_v) / f)
-        return dx, dy
+        return self._raw(u, v).normal_derivative_H()
 
     def normal_derivative_H0(self, u, v, tol: float = MINIMAL_H_TOL) -> tuple:
-        """(D_X H0, D_Y H0) for the unit field H0 = H / ||H||."""
-        d = self._raw(u, v)
-        h1, h2 = _h_closed(d)
-        if np.any(h1 ** 2 + h2 ** 2 <= tol):
-            raise MinimalPoint("H vanishes (to tolerance); H0 undefined")
-        au, bu = _h0_dual(d, seed="u")
-        av, bv = _h0_dual(d, seed="v")
-        b_u, b_v = _connection_coefficients(d)
-        f = d["f"].f
-        dx = (au.d1 - bu.f * b_u, bu.d1 + au.f * b_u)
-        dy = ((av.d1 - bv.f * b_v) / f, (bv.d1 + av.f * b_v) / f)
-        return dx, dy
+        return self._raw(u, v).normal_derivative_H0(tol)
+
+    def normal_field_derivatives(self, u, v, combo: tuple = (1.0, 0.0)):
+        return self._raw(u, v).normal_field_derivatives(combo)
 
     def invariant_report(self, u: float, v: float) -> InvariantReport:
-        E, F, G = self.first_form(u, v)
-        K = self.gauss_curvature(u, v)
-        kperp = self.normal_curvature(u, v)
-        mc = self.mean_curvature(u, v)
-        h_sq = mc.h1 ** 2 + mc.h2 ** 2
-        k_minus = float(K.frame_route - h_sq)
-        frame = self.frame(u, v)
+        s = self._raw(u, v)
+        E, F, G = s.first_form()
+        K = s.gauss_curvature().frame_route
+        h1, h2 = s.h_closed()
+        h_sq = h1 ** 2 + h2 ** 2
+        k_minus = float(K - h_sq)
         return InvariantReport(
             E=float(E), F=float(F), G=float(G),
-            K=float(K.frame_route), K_perp=float(kperp),
-            h1=float(mc.h1), h2=float(mc.h2), H_norm_sq=float(h_sq),
+            K=float(K), K_perp=float(s.normal_curvature()),
+            h1=float(h1), h2=float(h2), H_norm_sq=float(h_sq),
             K_minus_H2=k_minus, epsilon=1 if k_minus > 0 else -1,
-            causal_z_u=causal_character(frame.X),
-            causal_z_v=causal_character(self.evaluate(u, v).z_v))
-
-    # -- frame-field derivatives (used for hyperplane witnesses) ----------
-    def normal_field_derivatives(self, u, v, combo: tuple = (1.0, 0.0)):
-        """Ambient partials of the field a*N1 + b*N2 for constants (a, b).
-
-        Returns (d_u field, d_v field) as (..., 4) arrays; a constant
-        field witnesses that the surface lies in a hyperplane.
-        """
-        d = self._raw(u, v)
-        a, b = combo
-        fj, gj, cd = d["f"], d["g"], d["curve"]
-        dN1_u = np.zeros_like(d["N1"])
-        dN1_v = cd.nprime
-        dN2_u = _scale(gj.d2, cd.l) + _scale(fj.d2, _E4)
-        dN2_v = _scale(gj.d1, cd.t)
-        return a * dN1_u + b * dN2_u, a * dN1_v + b * dN2_v
-
-
-# ---------------------------------------------------------------------------
-# shared numerics on raw point data
-# ---------------------------------------------------------------------------
-
-def _gauss_frame_route(d) -> np.ndarray:
-    """K from the defining formula via the frame and second derivatives."""
-    f = d["f"].f
-    X, Y, N1, N2 = d["X"], d["Y"], d["N1"], d["N2"]
-
-    def normal_part(w):
-        return (inner_arrays(w, N1)[..., None] * N1
-                + inner_arrays(w, N2)[..., None] * N2)
-
-    s_xx = normal_part(d["z_uu"])
-    s_xy = normal_part(_scale(1.0 / f, d["z_uv"]))
-    s_yy = normal_part(_scale(1.0 / f ** 2, d["z_vv"]))
-    num = inner_arrays(s_xx, s_yy) - inner_arrays(s_xy, s_xy)
-    den = (inner_arrays(X, X) * inner_arrays(Y, Y)
-           - inner_arrays(X, Y) ** 2)
-    return num / den
-
-
-def _h_closed(d):
-    """H components along (N1, N2): closed form in the profile jets."""
-    f, fd, fdd = d["f"].f, d["f"].d1, d["f"].d2
-    gd = d["g"].d1
-    kap = d["curve"].kappa.f
-    h1 = kap / (2.0 * f)
-    h2 = -(1.0 + fd ** 2 + f * fdd) / (2.0 * f * gd)
-    return h1, h2
-
-
-def _h_jet_route(d):
-    """H through the measured first form and normal projections."""
-    E = inner_arrays(d["z_u"], d["z_u"])
-    F = inner_arrays(d["z_u"], d["z_v"])
-    G = inner_arrays(d["z_v"], d["z_v"])
-    det = E * G - F ** 2
-    out = []
-    for N in (d["N1"], d["N2"]):
-        s_uu = inner_arrays(d["z_uu"], N)
-        s_uv = inner_arrays(d["z_uv"], N)
-        s_vv = inner_arrays(d["z_vv"], N)
-        out.append((G * s_uu - 2.0 * F * s_uv + E * s_vv) / (2.0 * det))
-    return out[0], out[1]
-
-
-def _profile_duals(d, seed: str):
-    """Dual seeds for partial derivatives of profile/curvature scalars.
-
-    seed="u": f-quantities carry their u-derivative, kappa is constant.
-    seed="v": f-quantities are constants, kappa carries kappa'.
-    """
-    fj, gj, kj = d["f"], d["g"], d["curve"].kappa
-    if seed == "u":
-        return (Dual(fj.f, fj.d1), Dual(fj.d1, fj.d2), Dual(fj.d2, fj.d3),
-                Dual(gj.d1, gj.d2), Dual(kj.f, 0.0))
-    return (Dual(fj.f, 0.0), Dual(fj.d1, 0.0), Dual(fj.d2, 0.0),
-            Dual(gj.d1, 0.0), Dual(kj.f, kj.d1))
-
-
-def _h_dual(d, seed: str):
-    f, fd, fdd, gd, kap = _profile_duals(d, seed)
-    h1 = kap / (2.0 * f)
-    h2 = -(1.0 + fd * fd + f * fdd) / (2.0 * f * gd)
-    return h1, h2
-
-
-def _h0_dual(d, seed: str):
-    h1, h2 = _h_dual(d, seed)
-    norm = (h1 * h1 + h2 * h2).sqrt()
-    return h1 / norm, h2 / norm
-
-
-def _connection_coefficients(d):
-    """(b_u, b_v) with b_w = <d_w N1, N2>; zero for this surface class."""
-    cd, fj, gj = d["curve"], d["f"], d["g"]
-    dN1_u = np.zeros_like(d["N1"])
-    dN1_v = cd.nprime
-    b_u = inner_arrays(dN1_u, d["N2"])
-    b_v = inner_arrays(dN1_v, d["N2"])
-    return b_u, b_v
+            causal_z_u=causal_character(Vec4M.from_array(s.X)),
+            causal_z_v=causal_character(Vec4M.from_array(s.z_v)))

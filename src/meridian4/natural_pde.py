@@ -38,7 +38,7 @@ import numpy as np
 
 from .diffkit import CumulativeQuadrature, SmoothFn1
 from .errors import ChartDomain, EmptyInterval, MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict
-from .geometry import MeridianSurface, _h0_dual, _h_closed, _scale
+from .geometry import MeridianSurface, _scale
 from .grids import Grid2, json_safe
 from .minkowski import Vec4M, inner_arrays
 
@@ -118,16 +118,14 @@ def _frame_fields(surface: MeridianSurface, u, v, tol: float):
     x, y, n1, n2, plus profile scalars.  Raises :class:`MinimalPoint`
     when <H,H> <= tol anywhere in the batch.
     """
-    d = surface._raw(u, v)
-    fj, gj, cd = d["f"], d["g"], d["curve"]
-    e4 = np.array([0.0, 0.0, 0.0, 1.0])
-
-    h1, h2 = _h_closed(d)
+    s = surface._raw(u, v)
+    h1, h2 = s.h_closed()
     if np.any(h1 ** 2 + h2 ** 2 <= tol):
         raise MinimalPoint("frame undefined where H vanishes")
 
-    X, dX_u, dX_v = d["X"], _scale(fj.d2, cd.l) + _scale(gj.d2, e4), _scale(fj.d1, cd.t)
-    Y, dY_u, dY_v = d["Y"], np.zeros_like(d["Y"]), cd.tp
+    # X = z_u and Y = l' (a function of v alone)
+    X, dX_u, dX_v = s.X, s.z_uu, s.z_uv
+    Y, dY_u, dY_v = s.Y, np.zeros_like(s.Y), s.curve.tp
 
     x = (X + Y) / _SQRT2
     dx_u = (dX_u + dY_u) / _SQRT2
@@ -136,13 +134,11 @@ def _frame_fields(surface: MeridianSurface, u, v, tol: float):
     dy_u = (dX_u - dY_u) / _SQRT2
     dy_v = (dX_v - dY_v) / _SQRT2
 
-    N1, dN1_u, dN1_v = d["N1"], np.zeros_like(d["N1"]), cd.nprime
-    N2 = d["N2"]
-    dN2_u = _scale(gj.d2, cd.l) + _scale(fj.d2, e4)
-    dN2_v = _scale(gj.d1, cd.t)
+    N1, dN1_u, dN1_v = s.N1, s.dN1_u, s.dN1_v
+    N2, dN2_u, dN2_v = s.N2, s.dN2_u, s.dN2_v
 
-    au, bu = _h0_dual(d, seed="u")   # alpha = h1/||H||, beta = h2/||H||
-    av, bv = _h0_dual(d, seed="v")
+    au, bu = s.h0_jets("u")   # alpha = h1/||H||, beta = h2/||H||
+    av, bv = s.h0_jets("v")
     alpha, beta = au.f, bu.f
 
     n1 = _scale(alpha, N1) + _scale(beta, N2)
@@ -157,7 +153,7 @@ def _frame_fields(surface: MeridianSurface, u, v, tol: float):
              + _scale(av.d1, N2) + _scale(alpha, dN2_v))
 
     return {
-        "f": fj.f,
+        "f": s.f.f,
         "x": (x, dx_u, dx_v), "y": (y, dy_u, dy_v),
         "n1": (n1, dn1_u, dn1_v), "n2": (n2, dn2_u, dn2_v),
     }
@@ -344,10 +340,9 @@ class IsotropicChart:
 
     def isotropic_tangents(self, u, v):
         """(z_ubar, z_vbar) as ambient arrays, for the chart invariants."""
-        d = self.surface._raw(u, v)
-        f = d["f"].f
-        zu, zv = d["z_u"], d["z_v"]
-        return ((_scale(f, zu) + zv) / _SQRT2, (_scale(f, zu) - zv) / _SQRT2)
+        s = self.surface._raw(u, v)
+        fz_u = _scale(s.f.f, s.z_u)
+        return (fz_u + s.z_v) / _SQRT2, (fz_u - s.z_v) / _SQRT2
 
     def operator_self_test(self, u, v):
         """Apply the barred derivative operators to the chart's own

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meridian4 import (
+    FamilySpec,
     Interval,
     Jet3,
     MeridianSurface,
     SphericalCurve,
+    build_surface,
+    causal_character,
     constant_fn,
     curve_from_curvature,
     great_circle,
@@ -19,7 +23,11 @@ from meridian4 import (
     sin_offset_fn,
     verify_frame,
 )
-from meridian4.errors import InconsistentGeometry, MeridianError, MinimalPoint, OutOfDomain
+from meridian4.acceptance import standard_instances
+from meridian4.errors import (InconsistentGeometry, MeridianError, MinimalPoint,
+                              NonpositiveProfile, OutOfDomain)
+from meridian4.families import TAGS
+from meridian4.geometry import MeridianProfile
 
 FRAME_GRAM = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -88,6 +96,35 @@ def test_flat_profile_constraint():
     jets = p.jets(np.linspace(-1.5, 3.0, 9))
     assert np.allclose(jets.g.d1, np.sqrt(2.0))
     assert np.max(np.abs(jets.f.d1 ** 2 - jets.g.d1 ** 2 + 1)) < 1e-15
+
+
+def test_normalization_checks_are_relative():
+    # f' exceeds 1e4 on (-5, 5): f'^2 - g'^2 + 1 cancels to ~6e-8 in
+    # absolute terms, while the relative deviation stays at rounding level
+    spec = FamilySpec("CMC", {"a": 1.0, "kappa": 1.0, "c": 1.0, "f0": 1.0},
+                      -5.0, 5.0, h=0.01)
+    surface = build_surface(spec)
+    assert surface.profile.stopped_reason is None
+    fd = surface.profile.jets(np.array([-4.9, 4.9])).f.d1
+    assert np.max(np.abs(fd)) > 1e3
+
+
+@pytest.mark.parametrize("slope", [1.0, 1e3])
+def test_profile_with_g_prime_off_is_rejected(slope):
+    # g' too large by 1e-6 relative breaks f'^2 - g'^2 = -1 by ~2e-6 relative
+    gd = np.sqrt(slope ** 2 + 1.0) * (1.0 + 1e-6)
+
+    def f_eval(u):
+        u = np.asarray(u, dtype=float)
+        return Jet3(slope * u + 2.0, slope + 0.0 * u, 0.0 * u, 0.0 * u)
+
+    def g_eval(u):
+        u = np.asarray(u, dtype=float)
+        return Jet3(gd * u, gd + 0.0 * u, 0.0 * u, 0.0 * u)
+
+    with pytest.raises(NonpositiveProfile, match="relative deviation"):
+        MeridianProfile(f_eval=f_eval, g_eval=g_eval,
+                        domain=Interval(0.0, 1.0))
 
 
 def test_profile_domain_enforced():
@@ -351,3 +388,41 @@ def test_invariant_report_cosh_family():
         rep = s.invariant_report(u, 0.5)
         assert rep.K == pytest.approx(1.0, abs=1e-10)
         assert abs(rep.K_perp) < 1e-10
+
+
+# ---------------------------------------------------------------- one evaluation
+def test_invariant_report_evaluates_once(pnmc1_surface, monkeypatch):
+    calls = []
+    raw = MeridianSurface._raw
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return raw(self, u, v)
+
+    monkeypatch.setattr(MeridianSurface, "_raw", counted)
+    pnmc1_surface.invariant_report(0.5, 0.3)
+    assert calls == [(0.5, 0.3)]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(tag=st.sampled_from(TAGS),
+       s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+def test_invariant_report_matches_methods_bitwise(tag, s, t):
+    surface, _, grid = standard_instances()[tag]
+    u = grid.u_min + s * (grid.u_max - grid.u_min)
+    v = grid.v_min + t * (grid.v_max - grid.v_min)
+    rep = surface.invariant_report(u, v)
+    E, F, G = surface.first_form(u, v)
+    mc = surface.mean_curvature(u, v)
+    want = {"E": E, "F": F, "G": G,
+            "K": surface.gauss_curvature(u, v).frame_route,
+            "K_perp": surface.normal_curvature(u, v),
+            "h1": mc.h1, "h2": mc.h2, "H_norm_sq": mc.h1 ** 2 + mc.h2 ** 2}
+    for name, value in want.items():
+        assert _bits(getattr(rep, name)) == _bits(value), name
+    assert rep.causal_z_u is causal_character(surface.frame(u, v).X)
+    assert rep.causal_z_v is causal_character(surface.evaluate(u, v).z_v)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from meridian4 import (
     CausalClass,
@@ -29,12 +29,18 @@ def test_inner_product_values(a, b, expected):
 
 @given(st.tuples(*[finite] * 4), st.tuples(*[finite] * 4),
        st.tuples(*[finite] * 4), st.floats(min_value=-100, max_value=100))
+@example(a=(0.0, 45891.0, 0.0, 0.0), b=(1.0, 45893.0, 0.0, 0.0),
+         c=(1.2159773285966367, 46.0, 0.0, 0.0), alpha=-1.0)
 def test_inner_product_bilinear(a, b, c, alpha):
     va, vb, vc = Vec4M(*a), Vec4M(*b), Vec4M(*c)
     lhs = minkowski_inner(alpha * va + vb, vc)
     rhs = alpha * minkowski_inner(va, vc) + minkowski_inner(vb, vc)
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    assert abs(lhs - rhs) / scale < 1e-12
+    # Both sides round each of their few operations; the error scales with
+    # the size of the rounded terms, not with the (possibly cancelled)
+    # result.  The absolute part covers products that underflow.
+    terms = (abs(alpha) * sum(abs(x * z) for x, z in zip(a, c))
+             + sum(abs(y * z) for y, z in zip(b, c)))
+    assert abs(lhs - rhs) <= 16 * np.finfo(float).eps * terms + 2.0 ** -1070
 
 
 @pytest.mark.parametrize("v, expected", [
