@@ -101,10 +101,10 @@ def _load_json(path: str) -> dict:
     return cfg
 
 
-def _config_number(cfg: dict, key: str, default, kind=float):
+def _config_number(cfg: dict, key: str, default) -> float:
     try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError):
+        return float(cfg.get(key, default))
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be a number, not {cfg[key]!r}")
 
 
@@ -125,7 +125,7 @@ def _parse_kappa(sel: str) -> SmoothFn1:
 def _parse_grid(d: dict) -> Grid2:
     try:
         return Grid2.from_json(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid: {exc}")
 
 
@@ -155,21 +155,25 @@ def _build_surface(cfg: dict) -> tuple:
         raise ConfigError("config needs 'family' and 'grid' sections")
     try:
         spec = FamilySpec.from_json(cfg["family"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad family spec: {exc}")
     grid = _parse_grid(cfg["grid"])
     if grid.u_min < spec.u_min - 1e-12 or grid.u_max > spec.u_max + 1e-12:
         raise ConfigError(
             f"grid u-range [{grid.u_min}, {grid.u_max}] outside family "
             f"interval [{spec.u_min}, {spec.u_max}]")
+    return _surface(spec, cfg.get("directrix", {}), grid), spec, grid
+
+
+def _surface(spec: FamilySpec, directrix_cfg, grid: Grid2) -> MeridianSurface:
+    """The family's surface over the configured directrix; a value that
+    the constructors reject as a type or value is a config error."""
     try:
-        directrix = _build_directrix(cfg.get("directrix", {}), grid)
+        directrix = _build_directrix(directrix_cfg, grid)
         profile = build_profile(spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad directrix or family parameters: {exc}")
-    surface = MeridianSurface(profile=profile, directrix=directrix,
-                              name=spec.tag)
-    return surface, spec, grid
+    return MeridianSurface(profile=profile, directrix=directrix, name=spec.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,8 @@ def cmd_geomfuncs(cfg: dict, out_dir: Path, fmt: str) -> int:
     return 0
 
 
-_FAMILY_RE = re.compile(r"family\(\s*([-0-9.eE+]+)\s*,\s*([-0-9.eE+]+)\s*\)")
+_NUMBER_RE = r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
+_FAMILY_RE = re.compile(rf"family\(\s*{_NUMBER_RE}\s*,\s*{_NUMBER_RE}\s*\)")
 
 
 def _separable_fields() -> tuple:
@@ -397,21 +402,24 @@ def cmd_pde(cfg: dict, out_dir: Path | None, tol: float) -> int:
         if system == "degenerate":
             report = residual_degenerate(lam, mu, nu, grid, tol=tol)
         else:
+            if not grid.u_max > grid.u_min:
+                raise ConfigError("grid u_max must exceed u_min")
             spec = FamilySpec("PNMC1", {"a": a, "b": b, "kappa": 2.0},
                               grid.u_min, grid.u_max)
-            surface = MeridianSurface(profile=build_profile(spec),
-                                      directrix=_build_directrix(
-                                          {"kind": "curvature",
-                                           "kappa": cfg.get("kappa", "const:2")},
-                                          grid))
+            surface = _surface(spec, {"kind": "curvature",
+                                      "kappa": cfg.get("kappa", "const:2")},
+                               grid)
             chart = IsotropicChart.for_minimal_family(surface, a, b)
             if system == "syst1":
                 report = residual_syst1(lam, mu, nu, chart, grid, tol=tol)
             else:
-                eps = _config_number(cfg, "epsilon", -1, int)
+                eps = cfg.get("epsilon", -1)
+                # JSON true == 1 in Python, but it is not a number
+                if isinstance(eps, bool) or eps not in (-1, 1):
+                    raise ConfigError(f"'epsilon' must be 1 or -1, not {eps!r}")
                 tl, tm, tn, scale = transported_solution_family(a, b, kappa)
                 ub, vb = chart.to_barred(*grid.mesh(), scale=scale)
-                report = residual_fund(tl, tm, tn, eps, (ub, vb), tol=tol)
+                report = residual_fund(tl, tm, tn, int(eps), (ub, vb), tol=tol)
 
     payload = {"config": cfg, "report": report.to_json()}
     text = _dumps(payload, indent=2)

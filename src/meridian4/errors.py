@@ -10,7 +10,7 @@ class OutOfDomain(MeridianError):
 
 
 class InconsistentGeometry(MeridianError):
-    """A curve or surface fails its normalization or frame-closure check at load."""
+    """A curve, surface or scalar field fails its consistency check at load."""
 
 
 class NonpositiveProfile(MeridianError):

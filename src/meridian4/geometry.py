@@ -11,8 +11,10 @@ metric has signature (1,1): z_u is unit timelike and z_v is spacelike
 with squared length f^2.
 
 All point operations accept scalars or broadcastable numpy arrays in
-(u, v); the typed wrappers (:class:`SurfaceJet`, :class:`FrameAtPoint`,
-:class:`InvariantReport`) are for single points.  Ambient vectors are
+(u, v).  So do the records of ambient vectors, :class:`SurfaceJet`,
+:class:`FrameAtPoint` and the lightlike ``natural_pde.IsotropicFrame``:
+their :class:`Vec4M` fields hold one point or a batch.  Only
+:class:`InvariantReport` is for a single point.  Ambient vectors are
 arrays with a trailing axis of length 4 in the basis (e1, e2, e3, e4).
 
 Each :class:`MeridianSurface` call evaluates the profile jets and the
@@ -42,7 +44,7 @@ from .diffkit import (
     constant_fn,
 )
 from .errors import InconsistentGeometry, MinimalPoint, NonpositiveProfile, OutOfDomain
-from .minkowski import CausalClass, Vec4M, causal_character, inner_arrays
+from .minkowski import CausalClass, Vec4M, causal_character, minkowski_inner
 
 __all__ = [
     "SphericalCurve",
@@ -65,10 +67,15 @@ PROFILE_TOL = 1e-10    # |f'^2 - g'^2 + 1| / (1 + f'^2)
 MINIMAL_H_TOL = 1e-12  # <H,H> at or below this counts as a minimal point
 
 
-def _pad4(components3: np.ndarray) -> np.ndarray:
-    """Append a zero e4 component: shape (..., 3) -> (..., 4)."""
-    pad = np.zeros(components3.shape[:-1] + (1,))
-    return np.concatenate([components3, pad], axis=-1)
+def _stack4(x1, x2, x3) -> np.ndarray:
+    """Ambient (..., 4) array with components (x1, x2, x3, 0)."""
+    return np.stack(np.broadcast_arrays(x1, x2, x3, 0.0), axis=-1)
+
+
+def _cross4(a, b) -> np.ndarray:
+    """Euclidean cross product of two component triples, as _stack4."""
+    return _stack4(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                   a[0] * b[1] - a[1] * b[0])
 
 
 def _scale(s, vec: np.ndarray) -> np.ndarray:
@@ -122,16 +129,12 @@ class SphericalCurve:
             raise OutOfDomain(
                 f"v={v} outside directrix domain "
                 f"({self.domain.lo}, {self.domain.hi})")
-        jx, jy, jz = self.components(v)
-        l3 = np.stack(np.broadcast_arrays(jx.f, jy.f, jz.f), axis=-1)
-        t3 = np.stack(np.broadcast_arrays(jx.d1, jy.d1, jz.d1), axis=-1)
-        tp3 = np.stack(np.broadcast_arrays(jx.d2, jy.d2, jz.d2), axis=-1)
-        tpp3 = np.stack(np.broadcast_arrays(jx.d3, jy.d3, jz.d3), axis=-1)
-        n3 = np.cross(l3, t3)
-        np3 = np.cross(l3, tp3)
-        return CurveData(l=_pad4(l3), t=_pad4(t3), tp=_pad4(tp3),
-                         tpp=_pad4(tpp3), n=_pad4(n3), nprime=_pad4(np3),
-                         kappa=self.curvature(v))
+        jets = self.components(v)
+        l, t, tp, tpp = ([getattr(j, d) for j in jets]
+                         for d in ("f", "d1", "d2", "d3"))
+        return CurveData(l=_stack4(*l), t=_stack4(*t), tp=_stack4(*tp),
+                         tpp=_stack4(*tpp), n=_cross4(l, t),
+                         nprime=_cross4(l, tp), kappa=self.curvature(v))
 
     def _validate(self, n_samples: int = 9):
         vs = self.domain.sample(n_samples)
@@ -139,19 +142,22 @@ class SphericalCurve:
         l3, t3, tp3, n3 = d.l[..., :3], d.t[..., :3], d.tp[..., :3], d.n[..., :3]
         unit_l = np.max(np.abs(np.sum(l3 * l3, axis=-1) - 1.0))
         unit_t = np.max(np.abs(np.sum(t3 * t3, axis=-1) - 1.0))
-        if max(unit_l, unit_t) > SPHERE_TOL:
+        # each check reads "not dev <= TOL", so that a NaN fails it
+        dev = np.max([unit_l, unit_t])
+        if not dev <= SPHERE_TOL:
             raise InconsistentGeometry(
                 f"curve {self.name!r} violates sphere/arc-length normalization "
-                f"(deviation {max(unit_l, unit_t):.3e})")
+                f"(deviation {dev:.3e})")
         # closure of the moving frame: t' = kappa n - l and n' = -kappa t
         kap = d.kappa.f
         c1 = np.max(np.abs(tp3 - (kap[..., None] * n3 - l3)))
         c2 = np.max(np.abs(d.nprime[..., :3] + kap[..., None] * t3))
         kdev = np.max(np.abs(np.sum(tp3 * n3, axis=-1) - kap))
-        if max(c1, c2, kdev) > FRENET_TOL:
+        dev = np.max([c1, c2, kdev])
+        if not dev <= FRENET_TOL:
             raise InconsistentGeometry(
                 f"curve {self.name!r} breaks moving-frame closure "
-                f"(deviation {max(c1, c2, kdev):.3e})")
+                f"(deviation {dev:.3e})")
         # independent cross-check: component jets against central differences
         h = 1e-3
         for v in vs[1:-1]:
@@ -160,7 +166,7 @@ class SphericalCurve:
                 comp = lambda w, k=k: np.asarray(
                     self.components(np.asarray(w))[k].f)
                 fd1 = (comp(v + h) - comp(v - h)) / (2 * h)
-                if abs(fd1 - jets[k].d1) / (1 + abs(jets[k].d1)) > 1e-5:
+                if not abs(fd1 - jets[k].d1) / (1 + abs(jets[k].d1)) <= 1e-5:
                     raise InconsistentGeometry(
                         f"curve {self.name!r}: jet d1 disagrees with finite "
                         f"differences at v={v}")
@@ -231,13 +237,8 @@ def curve_from_curvature(kappa: SmoothFn1, v_range: tuple[float, float],
         k, kp = np.asarray(kj.f)[..., None], np.asarray(kj.d1)[..., None]
         d2 = k * n - l                       # t'
         d3 = kp * n - (k * k + 1.0) * t      # t'' via n' = -kappa t
-        out = []
-        for c in range(3):
-            out.append(Jet3(l[..., c] if v.ndim else float(l[..., c]),
-                            t[..., c] if v.ndim else float(t[..., c]),
-                            d2[..., c] if v.ndim else float(d2[..., c]),
-                            d3[..., c] if v.ndim else float(d3[..., c])))
-        return tuple(out)
+        return tuple(Jet3(l[..., c], t[..., c], d2[..., c], d3[..., c])
+                     for c in range(3))
 
     return SphericalCurve(components=components, curvature=kappa,
                           domain=Interval(v0, v1),
@@ -273,13 +274,13 @@ class MeridianProfile:
     def __post_init__(self):
         us = self.domain.sample(17)
         fj, gj = self.f_eval(us), self.g_eval(us)
-        if np.any(fj.f <= 0):
+        if not np.all(fj.f > 0):
             raise NonpositiveProfile(
                 f"profile {self.name!r}: f <= 0 inside the domain")
         # relative: the cancellation in f'^2 - g'^2 grows with f'^2
         fd_sq = fj.d1 ** 2
         dev = np.max(np.abs(fd_sq - gj.d1 ** 2 + 1.0) / (1.0 + fd_sq))
-        if dev > PROFILE_TOL:
+        if not dev <= PROFILE_TOL:
             raise NonpositiveProfile(
                 f"profile {self.name!r}: f'^2 - g'^2 = -1 violated "
                 f"(relative deviation {dev:.3e})")
@@ -345,7 +346,7 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Ambient position and partial derivatives of z at one point."""
+    """Ambient position and partial derivatives of z at (u, v)."""
 
     z: Vec4M
     z_u: Vec4M
@@ -454,9 +455,9 @@ class SurfaceSample:
     # -- invariants --------------------------------------------------------
     def first_form(self) -> tuple:
         """(E, F, G) measured from the ambient jets, not from closed forms."""
-        E = inner_arrays(self.z_u, self.z_u)
-        F = inner_arrays(self.z_u, self.z_v)
-        G = inner_arrays(self.z_v, self.z_v)
+        E = minkowski_inner(self.z_u, self.z_u)
+        F = minkowski_inner(self.z_u, self.z_v)
+        G = minkowski_inner(self.z_v, self.z_v)
         return E, F, G
 
     def gauss_curvature(self) -> GaussCurvature:
@@ -466,15 +467,15 @@ class SurfaceSample:
         X, Y, N1, N2 = self.X, self.Y, self.N1, self.N2
 
         def normal_part(w):
-            return (inner_arrays(w, N1)[..., None] * N1
-                    + inner_arrays(w, N2)[..., None] * N2)
+            return (minkowski_inner(w, N1)[..., None] * N1
+                    + minkowski_inner(w, N2)[..., None] * N2)
 
         s_xx = normal_part(self.z_uu)
         s_xy = normal_part(_scale(1.0 / f, self.z_uv))
         s_yy = normal_part(_scale(1.0 / f ** 2, self.z_vv))
-        num = inner_arrays(s_xx, s_yy) - inner_arrays(s_xy, s_xy)
-        den = (inner_arrays(X, X) * inner_arrays(Y, Y)
-               - inner_arrays(X, Y) ** 2)
+        num = minkowski_inner(s_xx, s_yy) - minkowski_inner(s_xy, s_xy)
+        den = (minkowski_inner(X, X) * minkowski_inner(Y, Y)
+               - minkowski_inner(X, Y) ** 2)
         return GaussCurvature(frame_route=num / den,
                               profile_route=self.f.d2 / f)
 
@@ -488,8 +489,10 @@ class SurfaceSample:
         """
         N2 = self.N2
         dN1_uv = self.dN1_u        # d_u N1 = 0, so d_v d_u N1 = 0 too
-        du_bv = inner_arrays(dN1_uv, N2) + inner_arrays(self.dN1_v, self.dN2_u)
-        dv_bu = inner_arrays(dN1_uv, N2) + inner_arrays(self.dN1_u, self.dN2_v)
+        du_bv = (minkowski_inner(dN1_uv, N2)
+                 + minkowski_inner(self.dN1_v, self.dN2_u))
+        dv_bu = (minkowski_inner(dN1_uv, N2)
+                 + minkowski_inner(self.dN1_u, self.dN2_v))
         return -(du_bv - dv_bu) / self.f.f
 
     def h_closed(self) -> tuple:
@@ -507,9 +510,9 @@ class SurfaceSample:
         det = E * G - F ** 2
         jet_route = []
         for N in (self.N1, self.N2):
-            s_uu = inner_arrays(self.z_uu, N)
-            s_uv = inner_arrays(self.z_uv, N)
-            s_vv = inner_arrays(self.z_vv, N)
+            s_uu = minkowski_inner(self.z_uu, N)
+            s_uv = minkowski_inner(self.z_uv, N)
+            s_vv = minkowski_inner(self.z_vv, N)
             jet_route.append((G * s_uu - 2.0 * F * s_uv + E * s_vv) / (2.0 * det))
         return MeanCurvature(*self.h_closed(), *jet_route)
 
@@ -544,8 +547,8 @@ class SurfaceSample:
         au, bu = jets("u")
         av, bv = jets("v")
         # normal-connection coefficients b_w = <d_w N1, N2>
-        b_u = inner_arrays(self.dN1_u, self.N2)
-        b_v = inner_arrays(self.dN1_v, self.N2)
+        b_u = minkowski_inner(self.dN1_u, self.N2)
+        b_v = minkowski_inner(self.dN1_v, self.N2)
         f = self.f.f
         dx = (au.d1 - bu.f * b_u, bu.d1 + au.f * b_u)
         dy = ((av.d1 - bv.f * b_v) / f, (bv.d1 + av.f * b_v) / f)
@@ -580,7 +583,7 @@ class SurfaceSample:
 
 
 def _vectors(record, sample: SurfaceSample):
-    """A pointwise record of Vec4M fields read from a one-point sample."""
+    """A record of Vec4M fields read from a sample, one point or a batch."""
     return record(**{f.name: Vec4M.from_array(getattr(sample, f.name))
                      for f in fields(record)})
 
@@ -605,7 +608,7 @@ class MeridianSurface:
         f_sq = s.f.f ** 2
         e_dev = np.max(np.abs(E + 1.0) / (1.0 + s.f.d1 ** 2))
         g_dev = np.max(np.abs(G - f_sq) / f_sq)
-        if max(e_dev, g_dev) > 1e-8:
+        if not np.max([e_dev, g_dev]) <= 1e-8:
             raise InconsistentGeometry(
                 f"surface {self.name!r}: tangent normalization failed "
                 f"(relative deviations {e_dev:.3e}, {g_dev:.3e})")
@@ -616,10 +619,10 @@ class MeridianSurface:
         return SurfaceSample(f=f, g=g, curve=self.directrix.data(v))
 
     # -- spec operations ---------------------------------------------------
-    def evaluate(self, u: float, v: float) -> SurfaceJet:
+    def evaluate(self, u, v) -> SurfaceJet:
         return _vectors(SurfaceJet, self._raw(u, v))
 
-    def frame(self, u: float, v: float) -> FrameAtPoint:
+    def frame(self, u, v) -> FrameAtPoint:
         return _vectors(FrameAtPoint, self._raw(u, v))
 
     def first_form(self, u, v) -> tuple:

@@ -4,14 +4,16 @@ The ambient space is R^4 with the indefinite inner product
 
     <a, b> = a1*b1 + a2*b2 + a3*b3 - a4*b4
 
-(signature (3,1), timelike direction e4).  Everything here is pure and
-operates on immutable values, so it is safe to call concurrently.
+(signature (3,1), timelike direction e4), computed by the one function
+:func:`minkowski_inner` for Vec4M values and (..., 4) arrays alike, one
+point or a batch.  Everything here is pure and operates on immutable
+values, so it is safe to call concurrently.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,49 +37,32 @@ _SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 @dataclass(frozen=True)
 class Vec4M:
-    """Immutable vector of R^4_1 in the standard basis (e1, e2, e3, e4)."""
+    """Vector of R^4_1 in the standard basis (e1, e2, e3, e4): a view of
+    a (..., 4) array, whose components are floats or arrays of one
+    broadcast shape (a batch of points)."""
 
-    x1: float
-    x2: float
-    x3: float
-    x4: float
+    x1: float | np.ndarray
+    x2: float | np.ndarray
+    x3: float | np.ndarray
+    x4: float | np.ndarray
 
     @classmethod
-    def from_array(cls, a: Iterable[float]) -> "Vec4M":
-        x1, x2, x3, x4 = (float(c) for c in a)
-        return cls(x1, x2, x3, x4)
+    def from_array(cls, a) -> "Vec4M":
+        return cls(*np.moveaxis(np.asarray(a, dtype=float), -1, 0))
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3, self.x4])
-
-    def __add__(self, other: "Vec4M") -> "Vec4M":
-        return Vec4M(self.x1 + other.x1, self.x2 + other.x2,
-                     self.x3 + other.x3, self.x4 + other.x4)
-
-    def __sub__(self, other: "Vec4M") -> "Vec4M":
-        return Vec4M(self.x1 - other.x1, self.x2 - other.x2,
-                     self.x3 - other.x3, self.x4 - other.x4)
-
-    def __mul__(self, s: float) -> "Vec4M":
-        return Vec4M(self.x1 * s, self.x2 * s, self.x3 * s, self.x4 * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec4M":
-        return Vec4M(-self.x1, -self.x2, -self.x3, -self.x4)
-
-    def norm_inf(self) -> float:
-        return max(abs(self.x1), abs(self.x2), abs(self.x3), abs(self.x4))
+        return np.stack(np.broadcast_arrays(self.x1, self.x2, self.x3, self.x4),
+                        axis=-1)
 
 
-def minkowski_inner(a: Vec4M, b: Vec4M) -> float:
-    """<a, b> with signature (+, +, +, -)."""
-    return a.x1 * b.x1 + a.x2 * b.x2 + a.x3 * b.x3 - a.x4 * b.x4
+def _array(w) -> np.ndarray:
+    return w.as_array() if isinstance(w, Vec4M) else np.asarray(w)
 
 
-def inner_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minkowski inner product on arrays of shape (..., 4)."""
-    return np.sum(a * b * _SIGNS, axis=-1)
+def minkowski_inner(a, b):
+    """<a, b> with signature (+, +, +, -) for Vec4M values or (..., 4)
+    arrays; leading shapes broadcast."""
+    return np.sum(_array(a) * _array(b) * _SIGNS, axis=-1)
 
 
 class CausalClass(Enum):
@@ -101,17 +86,18 @@ def causal_character(v: Vec4M, tol: float = DEFAULT_CAUSAL_TOL) -> CausalClass:
         return CausalClass.SPACELIKE
     if q < -tol:
         return CausalClass.TIMELIKE
-    if v.norm_inf() > tol:
+    if np.max(np.abs(v.as_array())) > tol:
         return CausalClass.LIGHTLIKE
     return CausalClass.ZERO
 
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Measured Gram matrix of a candidate frame against a target."""
+    """Measured Gram matrix of a candidate frame (or a batch of frames,
+    with deviations the worst over all points) against a target."""
 
     labels: tuple[str, ...]
-    products: dict[tuple[str, str], float]
+    products: dict[tuple[str, str], float | np.ndarray]
     target: np.ndarray
     max_deviation: float
     tol: float
@@ -120,7 +106,7 @@ class FrameReport:
     def deviation(self, a: str, b: str) -> float:
         i, j = self.labels.index(a), self.labels.index(b)
         key = (a, b) if (a, b) in self.products else (b, a)
-        return abs(self.products[key] - float(self.target[i, j]))
+        return float(np.max(np.abs(self.products[key] - self.target[i, j])))
 
 
 def verify_frame(vectors: Sequence[tuple[str, Vec4M]],
@@ -129,8 +115,9 @@ def verify_frame(vectors: Sequence[tuple[str, Vec4M]],
     """Measure all pairwise inner products of 2-4 labeled vectors.
 
     The report's deviation is the maximum of |measured - target| over all
-    unordered pairs, diagonal included.  Raises ValueError when the Gram
-    matrix size does not match the number of vectors.
+    unordered pairs, diagonal included, and over all points of a batch;
+    a NaN fails the check.  Raises ValueError when the Gram matrix size
+    does not match the number of vectors.
     """
     k = len(vectors)
     if not 2 <= k <= 4:
@@ -140,12 +127,13 @@ def verify_frame(vectors: Sequence[tuple[str, Vec4M]],
         raise ValueError(f"target Gram must be {k}x{k}, got {target.shape}")
 
     labels = tuple(lbl for lbl, _ in vectors)
-    products: dict[tuple[str, str], float] = {}
-    max_dev = 0.0
+    products: dict[tuple[str, str], float | np.ndarray] = {}
+    devs = []
     for i in range(k):
         for j in range(i, k):
             p = minkowski_inner(vectors[i][1], vectors[j][1])
             products[(labels[i], labels[j])] = p
-            max_dev = max(max_dev, abs(p - target[i, j]))
+            devs.append(np.max(np.abs(p - target[i, j])))
+    max_dev = float(np.max(devs))
     return FrameReport(labels=labels, products=products, target=target,
                        max_deviation=max_dev, tol=tol, passed=max_dev <= tol)

@@ -37,10 +37,11 @@ from typing import Callable
 import numpy as np
 
 from .diffkit import CumulativeQuadrature, SmoothFn1
-from .errors import ChartDomain, EmptyInterval, MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict
+from .errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
+                     MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict)
 from .geometry import MeridianSurface, _scale
 from .grids import Grid2, json_safe
-from .minkowski import Vec4M, inner_arrays
+from .minkowski import Vec4M, minkowski_inner
 
 __all__ = [
     "GeometricFunctions",
@@ -96,7 +97,7 @@ class GeometricFunctions:
 
 @dataclass(frozen=True)
 class IsotropicFrame:
-    """Pointwise lightlike frame; Gram matrix is :data:`ISOTROPIC_GRAM`."""
+    """Lightlike frame, one point or a batch; Gram :data:`ISOTROPIC_GRAM`."""
 
     x: Vec4M
     y: Vec4M
@@ -159,9 +160,9 @@ def _frame_fields(surface: MeridianSurface, u, v, tol: float):
     }
 
 
-def isotropic_frame(surface: MeridianSurface, u: float, v: float,
+def isotropic_frame(surface: MeridianSurface, u, v,
                     tol: float = MINIMAL_TOL) -> IsotropicFrame:
-    """The frame {x, y, n1, n2} at one point; n1 is parallel to H."""
+    """The frame {x, y, n1, n2} at (u, v); n1 is parallel to H."""
     ff = _frame_fields(surface, u, v, tol)
     pick = lambda k: Vec4M.from_array(ff[k][0])
     return IsotropicFrame(x=pick("x"), y=pick("y"), n1=pick("n1"),
@@ -200,15 +201,15 @@ def geometric_functions(surface: MeridianSurface, u, v,
         return float(a) if np.ndim(a) == 0 else a
 
     return GeometricFunctions(
-        gamma1=num(-inner_arrays(nab_x_x, y[0])),
-        gamma2=num(-inner_arrays(nab_y_y, x[0])),
-        nu=num(-inner_arrays(nab_x_y, n1[0])),
-        lambda1=num(inner_arrays(nab_x_x, n1[0])),
-        mu1=num(inner_arrays(nab_x_x, n2[0])),
-        lambda2=num(inner_arrays(nab_y_y, n1[0])),
-        mu2=num(inner_arrays(nab_y_y, n2[0])),
-        beta1=num(inner_arrays(nab_x_n1, n2[0])),
-        beta2=num(inner_arrays(nab_y_n1, n2[0])),
+        gamma1=num(-minkowski_inner(nab_x_x, y[0])),
+        gamma2=num(-minkowski_inner(nab_y_y, x[0])),
+        nu=num(-minkowski_inner(nab_x_y, n1[0])),
+        lambda1=num(minkowski_inner(nab_x_x, n1[0])),
+        mu1=num(minkowski_inner(nab_x_x, n2[0])),
+        lambda2=num(minkowski_inner(nab_y_y, n1[0])),
+        mu2=num(minkowski_inner(nab_y_y, n2[0])),
+        beta1=num(minkowski_inner(nab_x_n1, n2[0])),
+        beta2=num(minkowski_inner(nab_y_n1, n2[0])),
     )
 
 
@@ -405,8 +406,8 @@ class ScalarField2:
                                       - V(u - h, v + h) + V(u - h, v - h)) / (4 * h * h)),
                 ]
                 for analytic, fd in checks:
-                    if abs(analytic - fd) / (1.0 + abs(analytic)) > rel_tol:
-                        raise ValueError(
+                    if not abs(analytic - fd) / (1.0 + abs(analytic)) <= rel_tol:
+                        raise InconsistentGeometry(
                             f"field {self.name!r}: analytic partial "
                             f"disagrees with finite differences at "
                             f"({u:.4g}, {v:.4g})")

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from meridian4 import cli
 from meridian4.cli import main
@@ -242,6 +243,14 @@ def test_thread_cap_env(monkeypatch, flat_cfg, tmp_path):
     ("verify", lambda c: c.update(tol="x")),
     ("generate", lambda c: c.update(out=5)),
     ("pde", lambda c: c.update(system="fund", solution="example1", epsilon="x")),
+    pytest.param("pde", lambda c: c.update(system="fund", solution="example1",
+                                           epsilon=2), id="epsilon-2"),
+    pytest.param("pde", lambda c: c.update(system="fund", solution="example1",
+                                           epsilon=1.5), id="epsilon-1.5"),
+    pytest.param("generate", lambda c: c["grid"].update(nu=float("inf")),
+                 id="grid-nu-inf"),
+    pytest.param("generate", lambda c: c["family"].update(sign_g=float("inf")),
+                 id="sign_g-inf"),
 ])
 def test_malformed_config_is_config_error(command, edit, cmc_cfg, tmp_path,
                                           capsys):
@@ -276,6 +285,30 @@ def test_inconsistent_directrix_exit_code(flat_cfg, tmp_path, capsys):
     bad = write_cfg(tmp_path / "coarse.json", cfg)
     assert main(["generate", "--config", bad]) == 3
     assert "violates sphere/arc-length normalization" in capsys.readouterr().err
+
+
+NONFINITE_GEOMETRY = [
+    ("generate", {"directrix": {"kind": "latitude", "kappa": float("inf")}}),
+    ("generate", {"directrix": {"kind": "curvature",
+                                "kappa": "poly:1e300,1e300"}}),
+    ("pde", {"system": "syst1", "solution": "example1",
+             "kappa": "poly:1e300,1e300"}),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, update", NONFINITE_GEOMETRY,
+                         ids=["latitude-inf", "curvature-1e300", "syst1-1e300"])
+def test_nonfinite_geometry_is_numeric_failure(command, update, cmc_cfg,
+                                               tmp_path, capsys):
+    # each load check reads "not dev <= TOL", so a NaN deviation fails it
+    cfg = json.loads(open(cmc_cfg).read())
+    cfg.update(update)
+    bad = write_cfg(tmp_path / "nonfinite.json", cfg)
+    assert main([command, "--config", bad, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric/domain failure:" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "surface.csv").exists()
 
 
 # ---------------------------------------------------------------- writers
@@ -334,15 +367,15 @@ def _ref_grid_json(sweep, echo):
                        "rows": rows})
 
 
-def _ref_geomfuncs_csv(path, surface, grid):
+def _ref_geomfuncs_csv(path, grid, values):
+    """The old per-row csv.writer loop over the batch values (9, nu, nv)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cli.GEOMFUNC_COLUMNS)
-        for u in grid.u_points():
-            for v in grid.v_points():
-                gf = geometric_functions(surface, float(u), float(v))
+        for i, u in enumerate(grid.u_points()):
+            for j, v in enumerate(grid.v_points()):
                 w.writerow([f"{x:.12g}" for x in
-                            [float(u), float(v), *gf.as_array().tolist()]])
+                            [float(u), float(v), *values[:, i, j].tolist()]])
 
 
 def _cmc_golden(nu, nv):
@@ -415,9 +448,22 @@ def test_geomfuncs_csv_matches_reference_bytes(block_rows, tmp_path,
     out = tmp_path / "gf"
     assert main(["geomfuncs", "--config", path, "--out", str(out)]) == 0
     surface, _, grid = cli._build_surface(cfg)
-    _ref_geomfuncs_csv(tmp_path / "ref.csv", surface, grid)
+    values = geometric_functions(surface, *grid.mesh()).as_array()
+    _ref_geomfuncs_csv(tmp_path / "ref.csv", grid, values)
     assert ((out / "geomfuncs.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_geomfuncs_batch_matches_per_point_values():
+    # NumPy's vectorized sin/cos may round differently from scalar calls,
+    # so the batch and the per-point values agree to rounding, not bitwise.
+    surface, _, grid = cli._build_surface(_cmc_golden(40, 40))
+    batch = geometric_functions(surface, *grid.mesh()).as_array()
+    for i, u in enumerate(grid.u_points()):
+        for j, v in enumerate(grid.v_points()):
+            point = geometric_functions(surface, u, v).as_array()
+            assert np.all(np.abs(batch[:, i, j] - point)
+                          <= 1e-14 * (1.0 + np.abs(point))), (u, v)
 
 
 def test_grid_json_writes_nonfinite_as_null(flat_cfg, tmp_path):
@@ -435,3 +481,117 @@ def test_grid_json_writes_nonfinite_as_null(flat_cfg, tmp_path):
     rows = data["rows"]
     assert rows[0][9] is None and rows[1][10] is None and rows[12][11] is None
     assert all(isinstance(x, float) for r in rows[2:12] for x in r)
+
+
+# ---------------------------------------------------------------- fuzzing
+# Configs with wrong types, non-finite or out-of-range values and missing
+# keys.  Whatever the input, the CLI returns an exit code from 0 to 3.
+# Grids stay at most 8x8, positive steps at least 1e-3, and finite bounds
+# small, so every example runs in well under a second.
+
+_MISSING = object()
+_JUNK = [float("nan"), float("inf"), float("-inf"), "x", None, [1.0], {},
+         True]
+_HUGE_INT = 10 ** 400    # a JSON integer too large for a float
+_NUMBER = st.sampled_from(_JUNK + [-1.0, 0.0, 0.5, 2.0, 1e300, -1e300,
+                                   _HUGE_INT])
+_BOUND = st.sampled_from(_JUNK + [-3.0, -1.0, 0.0, 0.5, 1.0, 3.0, _HUGE_INT])
+_COUNT = st.sampled_from(_JUNK + [-1, 0, 1, 2, 2.5, 8])
+_STEP = st.sampled_from(_JUNK + [-1e-3, 0.0, 1e-3, 0.05, 1e300, _HUGE_INT])
+
+
+def _fuzzed(base: dict, odd: dict):
+    """base with up to three keys removed or given a value from odd[key].
+
+    A value of base may itself be a strategy.
+    """
+    def perturb(keys):
+        entries = {k: v if isinstance(v, st.SearchStrategy) else st.just(v)
+                   for k, v in base.items()}
+        entries.update({k: st.one_of(st.just(_MISSING), odd.get(k, _NUMBER))
+                        for k in keys})
+        return st.fixed_dictionaries(entries)
+    return st.sets(st.sampled_from(sorted(base)), max_size=3).flatmap(
+        perturb).map(lambda d: {k: v for k, v in d.items() if v is not _MISSING})
+
+
+_GRID_ODD = {"u_min": _BOUND, "u_max": _BOUND, "v_min": _BOUND,
+             "v_max": _BOUND, "nu": _COUNT, "nv": _COUNT}
+
+_FAMILY = _fuzzed({"tag": st.sampled_from(
+                      ["Flat", "ConstantK", "Minimal", "CMC", "ParallelH1",
+                       "ParallelH2", "PNMC1", "PNMC2"]),
+                   "a": 1.0, "kappa": 1.0, "c": 1.0, "f0": 1.0, "b": 1.0,
+                   "K": 1.0, "a1": 1.0, "a2": 0.0, "sign_g": 1,
+                   "u_min": 0.0, "u_max": 1.0, "h": 0.01},
+                  {"tag": st.sampled_from(["nope", 3]), "u_min": _BOUND,
+                   "u_max": _BOUND, "h": _STEP, "sign_g": _COUNT})
+
+_DIRECTRIX = _fuzzed({"kind": st.sampled_from(["great", "latitude",
+                                               "curvature"]),
+                      "kappa": st.sampled_from([1.0, "const:2", "sin-offset:2",
+                                                "poly:1,2"]),
+                      "h": 0.01},
+                     {"kind": st.sampled_from(["nope", 2]),
+                      "kappa": st.sampled_from(
+                          _JUNK + [0.0, 2.0, 1e300, "poly:1e300,1e300",
+                                   "poly:", "nope:1"]),
+                      "h": _STEP})
+
+_SURFACE_CONFIG = st.tuples(
+    st.sampled_from(["generate", "verify", "geomfuncs"]),
+    _fuzzed({"family": _FAMILY, "directrix": _DIRECTRIX,
+             "grid": _fuzzed({"u_min": 0.1, "u_max": 0.9, "nu": 4,
+                              "v_min": 0.0, "v_max": 1.0, "nv": 3}, _GRID_ODD),
+             "tol": 1e-6},
+            {"family": _NUMBER, "directrix": _NUMBER, "grid": _NUMBER}))
+
+_PDE_CONFIG = st.tuples(st.just("pde"), _fuzzed(
+    {"system": st.sampled_from(["fund", "degenerate", "syst1"]),
+     "solution": st.sampled_from(["example1", "example2", "family(1,3)",
+                                  "separable"]),
+     "kappa": st.sampled_from(["sin-offset:2", "const:2", "poly:1,2"]),
+     "epsilon": st.sampled_from([-1, 1]),
+     "grid": _fuzzed({"u_min": 0.5, "u_max": 2.5, "nu": 5,
+                      "v_min": 0.0, "v_max": 6.2832, "nv": 5}, _GRID_ODD),
+     "tol": 1e-8},
+    {"system": st.sampled_from(["nope", 1]),
+     "solution": st.sampled_from(["family(1e400,1)", "family(1e5e5,1)",
+                                  "family(-1,-3)", "nope", 1]),
+     "kappa": st.sampled_from(["const:0", "poly:1e300,1e300", "const:x",
+                               "nope:1", 2]),
+     "epsilon": st.sampled_from(_JUNK + [2, 1.5, "1"]),
+     "grid": _NUMBER}))
+
+
+def _with(base, **update):
+    cfg = json.loads(json.dumps(base))
+    cfg.update(update)
+    return cfg
+
+
+_CMC_SMALL = _with(_cmc_golden(4, 3))
+_PDE_SMALL = {"system": "fund", "solution": "example1",
+              "kappa": "sin-offset:2", "epsilon": -1,
+              "grid": {"u_min": -0.9, "u_max": 2.9, "nu": 5,
+                       "v_min": 0.0, "v_max": 6.2832, "nv": 5}}
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(_SURFACE_CONFIG, _PDE_CONFIG))
+@example(case=("generate", _with(_CMC_SMALL, **NONFINITE_GEOMETRY[0][1])))
+@example(case=("generate", _with(_CMC_SMALL, **NONFINITE_GEOMETRY[1][1])))
+@example(case=("pde", _with(_PDE_SMALL, **NONFINITE_GEOMETRY[2][1])))
+@example(case=("pde", _with(_PDE_SMALL, epsilon=2)))
+@example(case=("pde", _with(_PDE_SMALL, epsilon=1.5)))
+@example(case=("generate", _with(_CMC_SMALL, grid=dict(
+    _CMC_SMALL["grid"], nu=float("inf")))))
+@example(case=("generate", _with(_CMC_SMALL, family=dict(
+    _CMC_SMALL["family"], sign_g=float("inf")))))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzzed_config_exits_with_a_contract_code(case, tmp_path):
+    command, cfg = case
+    path = write_cfg(tmp_path / "fuzz.json", cfg)
+    code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    assert code in (0, 1, 2, 3)

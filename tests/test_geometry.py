@@ -8,6 +8,7 @@ from meridian4 import (
     Jet3,
     MeridianSurface,
     SphericalCurve,
+    Vec4M,
     build_surface,
     causal_character,
     constant_fn,
@@ -28,6 +29,7 @@ from meridian4.errors import (InconsistentGeometry, MeridianError, MinimalPoint,
                               NonpositiveProfile, OutOfDomain)
 from meridian4.families import TAGS
 from meridian4.geometry import MeridianProfile
+from meridian4.natural_pde import ISOTROPIC_GRAM, isotropic_frame
 
 FRAME_GRAM = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -426,3 +428,45 @@ def test_invariant_report_matches_methods_bitwise(tag, s, t):
         assert _bits(getattr(rep, name)) == _bits(value), name
     assert rep.causal_z_u is causal_character(surface.frame(u, v).X)
     assert rep.causal_z_v is causal_character(surface.evaluate(u, v).z_v)
+
+
+# ---------------------------------------------------------------- batches
+def _records(tag, surface):
+    """(evaluation, target Gram or None) pairs that take (u, v) batches."""
+    out = [(surface.evaluate, None), (surface.frame, FRAME_GRAM)]
+    if tag != "Minimal":     # the lightlike frame needs H != 0
+        out.append((lambda u, v: isotropic_frame(surface, u, v),
+                    ISOTROPIC_GRAM))
+    return out
+
+
+def _vec_arrays(record):
+    return [vec.as_array() for vec in vars(record).values()]
+
+
+@settings(deadline=None, max_examples=40)
+@given(tag=st.sampled_from(TAGS),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=6))
+def test_batch_records_match_per_point_calls(tag, points):
+    surface, _, grid = standard_instances()[tag]
+    s, t = np.array(points).T
+    us = grid.u_min + s * (grid.u_max - grid.u_min)
+    vs = grid.v_min + t * (grid.v_max - grid.v_min)
+    for evaluate, gram in _records(tag, surface):
+        batch = evaluate(us, vs)
+        fields = _vec_arrays(batch)
+        for i, (u, v) in enumerate(zip(us, vs)):
+            # vectorized sin/cos and the g memo may round differently
+            for got, want in zip(fields, _vec_arrays(evaluate(u, v))):
+                assert got.shape == (len(us), 4)
+                assert np.all(np.abs(got[i] - want)
+                              <= 1e-14 * (1.0 + np.abs(want)))
+        if gram is None:
+            continue
+        labeled = batch.labeled()
+        per_point = [
+            verify_frame([(name, Vec4M.from_array(vec.as_array()[i]))
+                          for name, vec in labeled], gram).max_deviation
+            for i in range(len(us))]
+        assert verify_frame(labeled, gram).max_deviation == max(per_point)

@@ -33,7 +33,8 @@ def test_inner_product_values(a, b, expected):
          c=(1.2159773285966367, 46.0, 0.0, 0.0), alpha=-1.0)
 def test_inner_product_bilinear(a, b, c, alpha):
     va, vb, vc = Vec4M(*a), Vec4M(*b), Vec4M(*c)
-    lhs = minkowski_inner(alpha * va + vb, vc)
+    lhs = minkowski_inner(
+        Vec4M.from_array(alpha * np.array(a) + np.array(b)), vc)
     rhs = alpha * minkowski_inner(va, vc) + minkowski_inner(vb, vc)
     # Both sides round each of their few operations; the error scales with
     # the size of the rounded terms, not with the (possibly cancelled)
@@ -64,7 +65,7 @@ def test_causal_character_scaling_invariant(comps, s):
     v = Vec4M(*comps)
     tol = 1e-8
     before = causal_character(v, tol)
-    after = causal_character(s * v, tol * s * s)
+    after = causal_character(Vec4M.from_array(s * v.as_array()), tol * s * s)
     if before in (CausalClass.SPACELIKE, CausalClass.TIMELIKE):
         assert after is before
 
@@ -87,8 +88,8 @@ def test_verify_frame_wrong_target_flags_e4():
 
 def test_verify_frame_null_pair():
     s = 1.0 / np.sqrt(2.0)
-    x = s * vec(1, 0, 0, 1)
-    y = s * vec(-1, 0, 0, 1)
+    x = Vec4M.from_array(s * np.array([1.0, 0.0, 0.0, 1.0]))
+    y = Vec4M.from_array(s * np.array([-1.0, 0.0, 0.0, 1.0]))
     rep = verify_frame([("x", x), ("y", y)],
                        np.array([[0.0, -1.0], [-1.0, 0.0]]), tol=1e-12)
     assert rep.passed

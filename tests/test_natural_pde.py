@@ -20,7 +20,8 @@ from meridian4 import (
     sin_offset_fn,
     verify_frame,
 )
-from meridian4.errors import ChartDomain, EmptyInterval, MinimalPoint, MuVanishes
+from meridian4.errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
+                              MinimalPoint, MuVanishes)
 from meridian4.natural_pde import (
     ISOTROPIC_GRAM,
     EquationResidual,
@@ -186,11 +187,11 @@ def test_chart_tangents_are_isotropic(pnmc1_surface):
     U = np.linspace(-0.8, 0.8, 9)[:, None]
     V = np.linspace(0.0, TWO_PI, 9)[None, :]
     zub, zvb = chart.isotropic_tangents(U, V)
-    from meridian4.minkowski import inner_arrays
+    from meridian4.minkowski import minkowski_inner
     f2 = pnmc1_surface.profile.jets(U).f.f ** 2
-    assert np.max(np.abs(inner_arrays(zub, zub))) < 1e-8
-    assert np.max(np.abs(inner_arrays(zvb, zvb))) < 1e-8
-    assert np.max(np.abs(inner_arrays(zub, zvb) + f2)) < 1e-8
+    assert np.max(np.abs(minkowski_inner(zub, zub))) < 1e-8
+    assert np.max(np.abs(minkowski_inner(zvb, zvb))) < 1e-8
+    assert np.max(np.abs(minkowski_inner(zub, zvb) + f2)) < 1e-8
 
 
 def test_chart_operator_self_test_closed_and_quadrature(pnmc1_surface):
@@ -230,7 +231,7 @@ def test_scalar_field_audit_catches_wrong_partial():
     }
     ScalarField2(val, good["du"], good["dv"], good["duu"], good["duv"],
                  good["dvv"], name="ok", audit_box=(0, 1, 0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentGeometry):
         ScalarField2(val, good["dv"], good["du"], good["duu"], good["duv"],
                      good["dvv"], name="swapped", audit_box=(0, 1, 0, 1))
 
