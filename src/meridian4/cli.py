@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .diffkit import SmoothFn1, constant_fn, poly_fn, sin_offset_fn
+from .diffkit import Jet3, SmoothFn1, constant_fn, jet_fn, poly_fn, sin_offset_fn
 from .errors import MeridianError
 from .families import FamilySpec, build_profile, verify_family
 from .geometry import MeridianSurface, curve_from_curvature, great_circle, latitude_circle
@@ -354,24 +354,12 @@ _FAMILY_RE = re.compile(rf"family\(\s*{_NUMBER_RE}\s*,\s*{_NUMBER_RE}\s*\)")
 
 
 def _separable_fields() -> tuple:
-    zero = lambda u, v: 0.0 * (np.asarray(u, dtype=float)
-                               + np.asarray(v, dtype=float))
-    zfield = ScalarField2(zero, zero, zero, zero, zero, zero, name="0")
-
-    def e(u):
-        return np.exp(np.asarray(u, dtype=float))
-
-    def q(v):
-        return 1.0 + np.asarray(v, dtype=float) ** 2
-
-    mu = ScalarField2(
-        value=lambda u, v: e(u) * q(v),
-        du=lambda u, v: e(u) * q(v),
-        dv=lambda u, v: e(u) * 2.0 * np.asarray(v, dtype=float),
-        duu=lambda u, v: e(u) * q(v),
-        duv=lambda u, v: e(u) * 2.0 * np.asarray(v, dtype=float),
-        dvv=lambda u, v: e(u) * 2.0 + zero(u, v),
-        name="separable", audit_box=(0.0, 1.0, 0.0, 1.0))
+    zero = constant_fn(0.0).eval_jet
+    zfield = ScalarField2.separable(zero, zero, name="0")
+    mu = ScalarField2.separable(jet_fn(Jet3.exp).eval_jet,
+                                poly_fn([1.0, 0.0, 1.0]).eval_jet,
+                                name="separable",
+                                audit_box=(0.0, 1.0, 0.0, 1.0))
     return zfield, mu, zfield
 
 

@@ -30,6 +30,7 @@ from .errors import (
     OutOfDomain,
     StepSizeNonpositive,
     ToleranceNotReached,
+    TooManySteps,
 )
 
 __all__ = [
@@ -51,6 +52,9 @@ ArrayLike = "float | np.ndarray"
 #: |phi| beyond this aborts integration (recorded, not raised).
 DEFAULT_OVERFLOW_BOUND = 1e12
 
+#: Fixed-step integrations refuse to take more steps than this.
+MAX_STEPS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -59,14 +63,11 @@ class Interval:
     lo: float = -math.inf
     hi: float = math.inf
 
-    def contains(self, u, margin: float = 0.0) -> bool:
+    def contains(self, u) -> bool:
         u = np.asarray(u)
-        return bool(np.all(u > self.lo + margin) and np.all(u < self.hi - margin))
+        return bool(np.all(u > self.lo) and np.all(u < self.hi))
 
-    def clipped(self, lo: float, hi: float) -> "Interval":
-        return Interval(max(self.lo, lo), min(self.hi, hi))
-
-    def sample(self, n: int, inset: float = 1e-3) -> np.ndarray:
+    def sample(self, n: int) -> np.ndarray:
         """n interior points; unbounded ends are cut to a finite window."""
         lo, hi = self.lo, self.hi
         if not math.isfinite(lo) and not math.isfinite(hi):
@@ -75,7 +76,7 @@ class Interval:
             hi = lo + 20.0
         elif not math.isfinite(lo):
             lo = hi - 20.0
-        pad = inset * (hi - lo)
+        pad = 1e-3 * (hi - lo)
         return np.linspace(lo + pad, hi - pad, n)
 
 
@@ -419,22 +420,35 @@ class _EarlyStop(Exception):
     """Raised by a checking right-hand side; the message is the reason."""
 
 
+def step_count(t0: float, t1: float, h: float) -> int:
+    """Number of fixed steps h from t0 to t1, at least 1.
+
+    Raises :class:`StepSizeNonpositive` unless h > 0 and t1 > t0, and
+    :class:`TooManySteps` above :data:`MAX_STEPS`, before any work.
+    """
+    if not h > 0:
+        raise StepSizeNonpositive(f"h={h}")
+    if not t1 > t0:
+        raise StepSizeNonpositive(f"empty integration range [{t0}, {t1}]")
+    steps = (t1 - t0) / h
+    if not steps <= MAX_STEPS:
+        raise TooManySteps(
+            f"[{t0}, {t1}] with h={h} takes {steps:.3g} steps, more than "
+            f"{MAX_STEPS}")
+    return max(int(round(steps)), 1)
+
+
 def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
-                      h: float,
-                      overflow_bound: float = DEFAULT_OVERFLOW_BOUND
-                      ) -> OdeSolution:
+                      h: float) -> OdeSolution:
     """Integrate f' = phi(f) from f(u_range[0]) = f0 with fixed step h.
 
     Integration stops early, with a recorded reason, if a stage leaves
     phi's validity interval, produces a non-finite value, or |phi|
-    exceeds the overflow bound.  An early stop is an event on the
-    returned solution, not an error.
+    exceeds :data:`DEFAULT_OVERFLOW_BOUND`.  An early stop is an event
+    on the returned solution, not an error.
     """
-    if h <= 0:
-        raise StepSizeNonpositive(f"h={h}")
     u0, u1 = float(u_range[0]), float(u_range[1])
-    if u1 <= u0:
-        raise StepSizeNonpositive(f"empty integration range [{u0}, {u1}]")
+    n_steps = step_count(u0, u1, h)
     if not phi.domain.contains(f0):
         raise InvalidInitialState(f"f0={f0} outside phi's domain")
     p0 = phi.eval_jet(f0).f
@@ -447,11 +461,10 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
         k = phi.eval_jet(f).f
         if not np.isfinite(k):
             raise _EarlyStop("phi not finite at stage")
-        if abs(k) > overflow_bound:
+        if abs(k) > DEFAULT_OVERFLOW_BOUND:
             raise _EarlyStop("derivative overflow")
         return k
 
-    n_steps = max(int(round((u1 - u0) / h)), 1)
     values = [float(f0)]
     stopped = None
     y = float(f0)

@@ -49,6 +49,10 @@ class StepSizeNonpositive(MeridianError):
     """ODE step size must be strictly positive."""
 
 
+class TooManySteps(MeridianError):
+    """A fixed-step integration would take more steps than the cap."""
+
+
 class IntervalOutsideDomain(MeridianError):
     """Quadrature interval is not contained in the integrand's domain."""
 

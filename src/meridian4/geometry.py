@@ -42,6 +42,7 @@ from .diffkit import (
     SmoothFn1,
     _rk4_step,
     constant_fn,
+    step_count,
 )
 from .errors import InconsistentGeometry, MinimalPoint, NonpositiveProfile, OutOfDomain
 from .minkowski import CausalClass, Vec4M, causal_character, minkowski_inner
@@ -136,8 +137,8 @@ class SphericalCurve:
                          tpp=_stack4(*tpp), n=_cross4(l, t),
                          nprime=_cross4(l, tp), kappa=self.curvature(v))
 
-    def _validate(self, n_samples: int = 9):
-        vs = self.domain.sample(n_samples)
+    def _validate(self):
+        vs = self.domain.sample(9)
         d = self.data(vs)
         l3, t3, tp3, n3 = d.l[..., :3], d.t[..., :3], d.tp[..., :3], d.n[..., :3]
         unit_l = np.max(np.abs(np.sum(l3 * l3, axis=-1) - 1.0))
@@ -210,7 +211,7 @@ def curve_from_curvature(kappa: SmoothFn1, v_range: tuple[float, float],
     differencing.
     """
     v0, v1 = float(v_range[0]), float(v_range[1])
-    n_steps = max(int(round((v1 - v0) / h)), 1)
+    n_steps = step_count(v0, v1, h)
     state = np.zeros((n_steps + 1, 9))
     state[0] = np.array([1, 0, 0, 0, 1, 0, 0, 0, 1], dtype=float)
 
@@ -309,13 +310,12 @@ def g_jet_from_f(fj: Jet3, sign_g: int, g_value) -> Jet3:
 
 
 def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
-                        domain: Interval, sign_g: int = 1, g_offset: float = 0.0,
-                        name: str = "", ode: OdeSolution | None = None,
-                        quad_tol: float = 1e-12) -> MeridianProfile:
+                        domain: Interval, sign_g: int = 1, name: str = "",
+                        ode: OdeSolution | None = None) -> MeridianProfile:
     """Profile with g obtained by quadrature of sqrt(f'^2 + 1).
 
     The antiderivative is anchored at the left end of the domain (or at
-    u = 0 when unbounded), so g(anchor) = g_offset.
+    u = 0 when unbounded), so g(anchor) = 0.
     """
     anchor = domain.lo if np.isfinite(domain.lo) else 0.0
 
@@ -325,15 +325,14 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
 
     gd_fn = SmoothFn1(gd_jet, Interval(domain.lo - 1e-6, domain.hi + 1e-6),
                       name="g'")
-    cumulative = CumulativeQuadrature(gd_fn, anchor, tol=quad_tol)
+    cumulative = CumulativeQuadrature(gd_fn, anchor, tol=1e-12)
 
     def g_eval(u):
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
-            gv = g_offset + cumulative(float(u))
+            gv = cumulative(float(u))
         else:
-            gv = g_offset + np.array([cumulative(x) for x in u.ravel()]
-                                     ).reshape(u.shape)
+            gv = np.array([cumulative(x) for x in u.ravel()]).reshape(u.shape)
         return g_jet_from_f(f_eval(u), sign_g, gv)
 
     return MeridianProfile(f_eval=f_eval, g_eval=g_eval, domain=domain,

@@ -8,6 +8,9 @@ import numpy as np
 
 __all__ = ["Grid2", "json_safe"]
 
+#: Grids with more points than this are refused before anything is built.
+MAX_POINTS = 10 ** 8
+
 
 def json_safe(obj):
     """Copy of a JSON payload with every non-finite float replaced by None.
@@ -38,6 +41,9 @@ class Grid2:
     def __post_init__(self):
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        if self.nu * self.nv > MAX_POINTS:
+            raise ValueError(f"grid of {self.nu} x {self.nv} points exceeds "
+                             f"{MAX_POINTS} points")
 
     def u_points(self) -> np.ndarray:
         return np.linspace(self.u_min, self.u_max, self.nu)

@@ -15,28 +15,35 @@ here.  The numeric route below extracts the functions by pairing
 directional derivatives of the frame fields; closed forms exist for the
 two parallel-unit-H families and must agree with it.
 
-Barred (isotropic) coordinates are never inverted numerically: all
-residuals are evaluated through the chain rule
+A candidate solution is a triple of :class:`ScalarField2` fields.  Each
+field is one callable returning a :class:`Partials2` (value and partials
+to order 2); the built-in fields are products p(u) q(v) of two jets
+(:meth:`ScalarField2.separable`), so no partial is written by hand.
+
+Barred (isotropic) coordinates are never inverted numerically: barred
+partials come from the chain rule
 
     d/d_ubar = (f d/du + d/dv) / (sqrt(2) * scale)
     d/d_vbar = (f d/du - d/dv) / (sqrt(2) * scale)
 
-where scale = 1 reproduces the raw chart u_bar = (U(u) + v)/sqrt(2),
-U' = 1/f.  Canonical isotropic coordinates require the conformal factor
-to satisfy f^2 |mu| = 1; for the solution families below f^2 |mu| is the
-constant sqrt(a^2 + b), so the canonical chart is the raw one rescaled
-by scale = sqrt(f^2 |mu|).  The third equation of the system holds only
-in the canonical scaling; the first two are scale-invariant.
+applied once and twice in one function, where scale = 1 reproduces the
+raw chart u_bar = (U(u) + v)/sqrt(2), U' = 1/f.  Canonical isotropic
+coordinates require the conformal factor to satisfy f^2 |mu| = 1; for
+the solution families below f^2 |mu| is the constant sqrt(a^2 + b), so
+the canonical chart is the raw one rescaled by scale = sqrt(f^2 |mu|).
+The third equation of the system holds only in the canonical scaling;
+the first two are scale-invariant.  :func:`residual_syst1` is the
+fundamental system with eps = -1 evaluated on those barred partials.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .diffkit import CumulativeQuadrature, SmoothFn1
+from .diffkit import CumulativeQuadrature, Jet3, SmoothFn1, constant_fn
 from .errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
                      MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict)
 from .geometry import MeridianSurface, _scale
@@ -48,6 +55,7 @@ __all__ = [
     "IsotropicFrame",
     "ISOTROPIC_GRAM",
     "IsotropicChart",
+    "Partials2",
     "ScalarField2",
     "ResidualReport",
     "isotropic_frame",
@@ -285,14 +293,13 @@ class IsotropicChart:
     name: str = ""
 
     @classmethod
-    def for_surface(cls, surface: MeridianSurface,
-                    anchor: float | None = None) -> "IsotropicChart":
-        """Generic chart with U computed by quadrature of 1/f."""
+    def for_surface(cls, surface: MeridianSurface) -> "IsotropicChart":
+        """Generic chart with U computed by quadrature of 1/f, anchored
+        at the domain midpoint (unbounded ends cut at -10 and 10)."""
         dom = surface.profile.domain
-        if anchor is None:
-            lo = dom.lo if math.isfinite(dom.lo) else -10.0
-            hi = dom.hi if math.isfinite(dom.hi) else 10.0
-            anchor = 0.5 * (lo + hi)
+        lo = dom.lo if math.isfinite(dom.lo) else -10.0
+        hi = dom.hi if math.isfinite(dom.hi) else 10.0
+        anchor = 0.5 * (lo + hi)
         inv_f = SmoothFn1(
             lambda u: surface.profile.f_eval(np.asarray(u, dtype=float)).reciprocal(),
             dom, name="1/f")
@@ -349,17 +356,15 @@ class IsotropicChart:
         """Apply the barred derivative operators to the chart's own
         coordinate functions; exact chain rule gives the identity matrix."""
         fj = self.surface.profile.jets(u).f
-        f = fj.f
-        # raw partials of ubar, vbar as functions of (u, v)
-        ub_u = 1.0 / (f * _SQRT2)
-        ub_v = 1.0 / _SQRT2 + 0.0 * np.asarray(v, dtype=float)
-        vb_u = ub_u
-        vb_v = -ub_v
-        d_ub = lambda Fu, Fv: (f * Fu + Fv) / _SQRT2
-        d_vb = lambda Fu, Fv: (f * Fu - Fv) / _SQRT2
+        # (u, v)-partials of ubar, vbar = (U(u) +- v) / sqrt(2), U' = 1/f
+        U_u = 1.0 / (fj.f * _SQRT2)
+        U_uu = -fj.d1 / (fj.f ** 2 * _SQRT2)
+        ub, vb = (_to_barred(Partials2(w, U_u, sgn / _SQRT2, U_uu, 0.0, 0.0),
+                             fj.f, fj.d1, 1.0)
+                  for w, sgn in zip(self.to_barred(u, v), (1.0, -1.0)))
         return np.array([
-            [np.max(np.abs(d_ub(ub_u, ub_v) - 1.0)), np.max(np.abs(d_ub(vb_u, vb_v)))],
-            [np.max(np.abs(d_vb(ub_u, ub_v))), np.max(np.abs(d_vb(vb_u, vb_v) - 1.0))],
+            [np.max(np.abs(ub.du - 1.0)), np.max(np.abs(vb.du))],
+            [np.max(np.abs(ub.dv)), np.max(np.abs(vb.dv - 1.0))],
         ])
 
 
@@ -367,22 +372,29 @@ class IsotropicChart:
 # scalar fields with analytic partials
 # ---------------------------------------------------------------------------
 
+class Partials2(NamedTuple):
+    """A scalar field of (u, v) and its partials to order 2 at some points."""
+
+    f: "float | np.ndarray"
+    du: "float | np.ndarray"
+    dv: "float | np.ndarray"
+    duu: "float | np.ndarray"
+    duv: "float | np.ndarray"
+    dvv: "float | np.ndarray"
+
+
 @dataclass(frozen=True)
 class ScalarField2:
     """Scalar field of two variables with analytic partials to order 2.
 
-    Partials are supplied, not differenced: the residual checkers need a
-    mixed second derivative where noise from nested finite differences
-    would exceed the acceptance tolerances.  A finite-difference audit
-    runs at construction when an audit box is given.
+    ``partials(u, v)`` returns a :class:`Partials2`.  Partials are
+    supplied, not differenced: the residual checkers need a mixed second
+    derivative where noise from nested finite differences would exceed
+    the acceptance tolerances.  A finite-difference audit runs at
+    construction when an audit box is given.
     """
 
-    value: Callable
-    du: Callable
-    dv: Callable
-    duu: Callable
-    duv: Callable
-    dvv: Callable
+    partials: Callable[..., Partials2]
     name: str = ""
     audit_box: tuple | None = None
 
@@ -390,32 +402,63 @@ class ScalarField2:
         if self.audit_box is not None:
             self._audit(*self.audit_box)
 
-    def _audit(self, u0, u1, v0, v1, n: int = 3, rel_tol: float = 1e-5):
-        us = np.linspace(u0, u1, n + 2)[1:-1]
-        vs = np.linspace(v0, v1, n + 2)[1:-1]
-        h = 1e-4 * max(u1 - u0, v1 - v0)
-        V = self.value
-        for u in us:
-            for v in vs:
-                checks = [
-                    (self.du(u, v), (V(u + h, v) - V(u - h, v)) / (2 * h)),
-                    (self.dv(u, v), (V(u, v + h) - V(u, v - h)) / (2 * h)),
-                    (self.duu(u, v), (V(u + h, v) - 2 * V(u, v) + V(u - h, v)) / h ** 2),
-                    (self.dvv(u, v), (V(u, v + h) - 2 * V(u, v) + V(u, v - h)) / h ** 2),
-                    (self.duv(u, v), (V(u + h, v + h) - V(u + h, v - h)
-                                      - V(u - h, v + h) + V(u - h, v - h)) / (4 * h * h)),
-                ]
-                for analytic, fd in checks:
-                    if not abs(analytic - fd) / (1.0 + abs(analytic)) <= rel_tol:
-                        raise InconsistentGeometry(
-                            f"field {self.name!r}: analytic partial "
-                            f"disagrees with finite differences at "
-                            f"({u:.4g}, {v:.4g})")
+    @classmethod
+    def separable(cls, p, q, name: str = "",
+                  audit_box: tuple | None = None) -> "ScalarField2":
+        """The field p(u) q(v) from two evaluators returning :class:`Jet3`."""
+        def partials(u, v):
+            pj = p(np.asarray(u, dtype=float))
+            qj = q(np.asarray(v, dtype=float))
+            return Partials2(pj.f * qj.f, pj.d1 * qj.f, pj.f * qj.d1,
+                             pj.d2 * qj.f, pj.d1 * qj.d1, pj.f * qj.d2)
+        return cls(partials, name=name, audit_box=audit_box)
 
-    def partials(self, u, v) -> dict:
-        return {"f": self.value(u, v), "du": self.du(u, v),
-                "dv": self.dv(u, v), "duu": self.duu(u, v),
-                "duv": self.duv(u, v), "dvv": self.dvv(u, v)}
+    def value(self, u, v):
+        return self.partials(u, v).f
+
+    def _audit(self, u0, u1, v0, v1, n: int = 3, rel_tol: float = 1e-5):
+        u = np.linspace(u0, u1, n + 2)[1:-1, None]
+        v = np.linspace(v0, v1, n + 2)[None, 1:-1]
+        h = 1e-4 * max(u1 - u0, v1 - v0)
+        p = self.partials(u, v)
+        V = self.value
+        up, um, vp, vm = V(u + h, v), V(u - h, v), V(u, v + h), V(u, v - h)
+        fd = (
+            (p.du, (up - um) / (2 * h)),
+            (p.dv, (vp - vm) / (2 * h)),
+            (p.duu, (up - 2 * p.f + um) / h ** 2),
+            (p.dvv, (vp - 2 * p.f + vm) / h ** 2),
+            (p.duv, (V(u + h, v + h) - V(u + h, v - h)
+                     - V(u - h, v + h) + V(u - h, v - h)) / (4 * h * h)),
+        )
+        # "not dev <= tol", so that a NaN fails the audit
+        bad = np.zeros((n, n), dtype=bool)
+        for analytic, approx in fd:
+            bad |= ~(np.abs(analytic - approx) / (1.0 + np.abs(analytic))
+                     <= rel_tol)
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise InconsistentGeometry(
+                f"field {self.name!r}: analytic partial disagrees with "
+                f"finite differences at ({u[i, 0]:.4g}, {v[0, j]:.4g})")
+
+
+def _to_barred(p: Partials2, f, fdot, scale: float) -> Partials2:
+    """Partials in the barred chart from (u, v)-partials, by the chain rule
+
+        d/d_ubar = (f d/du + d/dv) / (sqrt(2) scale)
+        d/d_vbar = (f d/du - d/dv) / (sqrt(2) scale)
+
+    applied once and twice; f and fdot are the profile and its derivative.
+    """
+    s2 = _SQRT2 * scale
+    f_du = f * p.du
+    core = f * fdot * p.du + f * f * p.duu
+    cross = 2.0 * f * p.duv
+    s22 = 2.0 * scale ** 2
+    return Partials2(p.f, (f_du + p.dv) / s2, (f_du - p.dv) / s2,
+                     (core + cross + p.dvv) / s22, (core - p.dvv) / s22,
+                     (core - cross + p.dvv) / s22)
 
 
 def solution_family(a: float, b: float, kappa: SmoothFn1,
@@ -436,57 +479,17 @@ def solution_family(a: float, b: float, kappa: SmoothFn1,
     r = math.sqrt(r2)
 
     def S(u):
-        u = np.asarray(u, dtype=float)
-        return b + 2.0 * a * u - u * u
-
-    def lam_partials():
-        def value(u, v):
-            return kappa.eval_jet(v).f / (2.0 * np.sqrt(S(u)))
-
-        def du(u, v):
-            return kappa.eval_jet(v).f * (u - a) / (2.0 * S(u) ** 1.5)
-
-        def dv(u, v):
-            return kappa.eval_jet(v).d1 / (2.0 * np.sqrt(S(u)))
-
-        def duu(u, v):
-            u = np.asarray(u, dtype=float)
-            return kappa.eval_jet(v).f * (S(u) + 3.0 * (u - a) ** 2) / (2.0 * S(u) ** 2.5)
-
-        def duv(u, v):
-            return kappa.eval_jet(v).d1 * (u - a) / (2.0 * S(u) ** 1.5)
-
-        def dvv(u, v):
-            return kappa.eval_jet(v).d2 / (2.0 * np.sqrt(S(u)))
-
-        return value, du, dv, duu, duv, dvv
-
-    def mu_partials():
-        def value(u, v):
-            return -r / S(u) + 0.0 * np.asarray(v, dtype=float)
-
-        def du(u, v):
-            u = np.asarray(u, dtype=float)
-            return 2.0 * r * (a - u) / S(u) ** 2 + 0.0 * np.asarray(v, dtype=float)
-
-        def duu(u, v):
-            u = np.asarray(u, dtype=float)
-            return -2.0 * r * (S(u) + 4.0 * (a - u) ** 2) / S(u) ** 3 \
-                + 0.0 * np.asarray(v, dtype=float)
-
-        zero = lambda u, v: 0.0 * (np.asarray(u, dtype=float)
-                                   + np.asarray(v, dtype=float))
-        return value, du, zero, duu, zero, zero
+        j = Jet3.variable(u)
+        return b + 2.0 * a * j - j * j
 
     box = (a - 0.8 * r, a + 0.8 * r, 0.1, 0.9) if audit else None
-    lv, ldu, ldv, lduu, lduv, ldvv = lam_partials()
-    mv, mdu, mdv, mduu, mduv, mdvv = mu_partials()
-    lam = ScalarField2(lv, ldu, ldv, lduu, lduv, ldvv,
-                       name=f"lambda(a={a},b={b})", audit_box=box)
-    mu = ScalarField2(mv, mdu, mdv, mduu, mduv, mdvv,
-                      name=f"mu(a={a},b={b})", audit_box=box)
-    nu = ScalarField2(lv, ldu, ldv, lduu, lduv, ldvv,
-                      name=f"nu(a={a},b={b})", audit_box=None)
+    lam = ScalarField2.separable(lambda u: 0.5 * S(u).sqrt().reciprocal(),
+                                 kappa.eval_jet, name=f"lambda(a={a},b={b})",
+                                 audit_box=box)
+    mu = ScalarField2.separable(lambda u: -r * S(u).reciprocal(),
+                                constant_fn(1.0).eval_jet,
+                                name=f"mu(a={a},b={b})", audit_box=box)
+    nu = ScalarField2(lam.partials, name=f"nu(a={a},b={b})")
     return lam, mu, nu
 
 
@@ -517,43 +520,19 @@ def transported_solution_family(a: float, b: float, kappa: SmoothFn1,
     s2 = _SQRT2 * scale
 
     def make(fieldobj: ScalarField2) -> ScalarField2:
-        def at(ub, vb):
+        def partials(ub, vb):
             ub = np.asarray(ub, dtype=float)
             vb = np.asarray(vb, dtype=float)
             w = (ub + vb) / s2
             if np.any(np.abs(w) >= math.pi / 2):
                 raise ChartDomain("barred point maps outside the profile")
             u = a + r * np.sin(w)
-            v = (ub - vb) / s2
             f = np.sqrt(b + 2.0 * a * u - u * u)
-            fdot = (a - u) / f
-            return u, v, f, fdot
+            return _to_barred(fieldobj.partials(u, (ub - vb) / s2),
+                              f, (a - u) / f, scale)
 
-        def value(ub, vb):
-            u, v, _, _ = at(ub, vb)
-            return fieldobj.value(u, v)
-
-        def du_b(ub, vb):
-            u, v, f, _ = at(ub, vb)
-            return (f * fieldobj.du(u, v) + fieldobj.dv(u, v)) / s2
-
-        def dv_b(ub, vb):
-            u, v, f, _ = at(ub, vb)
-            return (f * fieldobj.du(u, v) - fieldobj.dv(u, v)) / s2
-
-        def second(ub, vb, sgn):
-            u, v, f, fdot = at(ub, vb)
-            p = fieldobj.partials(u, v)
-            core = f * fdot * p["du"] + f * f * p["duu"]
-            cross = 2.0 * f * p["duv"]
-            return (core + sgn[0] * cross + sgn[1] * p["dvv"]) / (2.0 * scale ** 2)
-
-        return ScalarField2(
-            value, du_b, dv_b,
-            duu=lambda ub, vb: second(ub, vb, (1.0, 1.0)),
-            duv=lambda ub, vb: second(ub, vb, (0.0, -1.0)),
-            dvv=lambda ub, vb: second(ub, vb, (-1.0, 1.0)),
-            name=f"{fieldobj.name}|barred(scale={scale:.6g})")
+        return ScalarField2(partials,
+                            name=f"{fieldobj.name}|barred(scale={scale:.6g})")
 
     lam, mu, nu = (make(f) for f in raw)
     return lam, mu, nu, scale
@@ -616,17 +595,32 @@ def _rows(named_arrays, tol):
     return tuple(eqs), passed
 
 
-def _log_mu_partials(mu: ScalarField2, U, V, tol):
-    m = mu.partials(U, V)
-    mval = np.asarray(m["f"], dtype=float)
+def _nonvanishing(m: Partials2, tol):
+    """mu's values, after checking that |mu| > tol at every point."""
+    mval = np.asarray(m.f, dtype=float)
     if np.any(np.abs(mval) <= tol):
         raise MuVanishes("mu vanishes (to tolerance) on the grid")
-    ln_u = m["du"] / mval
-    ln_v = m["dv"] / mval
-    ln_uu = (m["duu"] * mval - m["du"] ** 2) / mval ** 2
-    ln_uv = (m["duv"] * mval - m["du"] * m["dv"]) / mval ** 2
-    ln_vv = (m["dvv"] * mval - m["dv"] ** 2) / mval ** 2
-    return mval, ln_u, ln_v, ln_uu, ln_uv, ln_vv
+    return mval
+
+
+def _ln_abs(m: Partials2, tol) -> Partials2:
+    """Partials of ln|mu| from those of mu."""
+    mval = _nonvanishing(m, tol)
+    m2 = mval ** 2
+    return Partials2(np.log(np.abs(mval)), m.du / mval, m.dv / mval,
+                     (m.duu * mval - m.du ** 2) / m2,
+                     (m.duv * mval - m.du * m.dv) / m2,
+                     (m.dvv * mval - m.dv ** 2) / m2)
+
+
+def _fund_rows(lam: Partials2, mu: Partials2, nu: Partials2, eps: int, tol):
+    """Residual rows of the three equations of the fundamental system."""
+    ln = _ln_abs(mu, tol)
+    r1 = nu.du + lam.dv - lam.f * ln.dv
+    r2 = lam.du - eps * nu.dv - lam.f * ln.du
+    r3 = np.abs(mu.f) * ln.duv + nu.f ** 2 + eps * (lam.f ** 2 + mu.f ** 2)
+    return _rows([("eq1", r1, True), ("eq2", r2, True), ("eq3", r3, True)],
+                 tol)
 
 
 def residual_fund(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
@@ -644,14 +638,8 @@ def residual_fund(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
     if eps not in (-1, 1):
         raise ValueError("eps must be +1 or -1")
     U, V, echo = _grid_points(grid)
-    mval, ln_u, ln_v, _, ln_uv, _ = _log_mu_partials(mu, U, V, tol)
-    lamv = lam.value(U, V)
-    r1 = nu.du(U, V) + lam.dv(U, V) - lamv * ln_v
-    r2 = lam.du(U, V) - eps * nu.dv(U, V) - lamv * ln_u
-    r3 = np.abs(mval) * ln_uv + nu.value(U, V) ** 2 \
-        + eps * (lamv ** 2 + mval ** 2)
-    eqs, passed = _rows([("eq1", r1, True), ("eq2", r2, True),
-                         ("eq3", r3, True)], tol)
+    eqs, passed = _fund_rows(lam.partials(U, V), mu.partials(U, V),
+                             nu.partials(U, V), eps, tol)
     return ResidualReport(system="fund", equations=eqs, tol=tol,
                           passed=passed, epsilon=eps, grid=echo)
 
@@ -668,11 +656,11 @@ def residual_degenerate(lam: ScalarField2, mu: ScalarField2,
     diagnostic row that does not gate the verdict.
     """
     U, V, echo = _grid_points(grid)
-    mval, _, ln_v, _, ln_uv, _ = _log_mu_partials(mu, U, V, tol)
-    lamv = lam.value(U, V)
-    r1 = nu.du(U, V) + lam.dv(U, V) - lamv * ln_v
-    r2 = np.abs(mval) * ln_uv + nu.value(U, V) ** 2
-    diag = nu.dv(U, V) + 0.0 * mval
+    lam_p, mu_p, nu_p = (x.partials(U, V) for x in (lam, mu, nu))
+    ln = _ln_abs(mu_p, tol)
+    r1 = nu_p.du + lam_p.dv - lam_p.f * ln.dv
+    r2 = np.abs(mu_p.f) * ln.duv + nu_p.f ** 2
+    diag = nu_p.dv + 0.0 * mu_p.f
     eqs, passed = _rows([("eq1", r1, True), ("eq2", r2, True),
                          ("nu_v (diagnostic)", diag, False)], tol)
     return ResidualReport(system="degenerate", equations=eqs, tol=tol,
@@ -689,42 +677,30 @@ def residual_syst1(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
         lam_ub + nu_vb        = lam (ln|mu|)_ub
         |mu| (ln|mu|)_ub_vb   = lam^2 + mu^2 - nu^2
 
-    Barred partials come from the chain rule through the chart; nothing
+    This is the fundamental system with eps = -1, evaluated on barred
+    partials that come from the chain rule through the chart; nothing
     is inverted numerically.  With ``normalize`` the chart is rescaled
     to canonical isotropic coordinates, scale = sqrt(f^2 |mu|); the
     third equation holds only in that scaling (the first two do not see
-    the scale).  This is the fundamental system with eps = -1.
+    the scale).
     """
     U, V, echo = _grid_points(grid)
     fj = chart.surface.profile.jets(U).f
-    f, fdot = fj.f, fj.d1
-    mval, ln_u, ln_v, ln_uu, _, ln_vv = _log_mu_partials(mu, U, V, tol)
+    mp = mu.partials(U, V)
+    mval = _nonvanishing(mp, tol)
 
     if normalize:
-        const = np.abs(mval) * f ** 2
+        const = np.abs(mval) * fj.f ** 2
         scale = float(np.median(const)) ** 0.5
         spread = float(np.max(const) - np.min(const))
     else:
         scale, spread = 1.0, float("nan")
 
-    s2 = _SQRT2 * scale
+    def barred(p):
+        return _to_barred(p, fj.f, fj.d1, scale)
 
-    def d_ub(Fu, Fv):
-        return (f * Fu + Fv) / s2
-
-    def d_vb(Fu, Fv):
-        return (f * Fu - Fv) / s2
-
-    lamv = lam.value(U, V)
-    lam_u, lam_v = lam.du(U, V), lam.dv(U, V)
-    nu_u, nu_v = nu.du(U, V), nu.dv(U, V)
-    ln_ubvb = (f * fdot * ln_u + f ** 2 * ln_uu - ln_vv) / (2.0 * scale ** 2)
-
-    r1 = d_ub(nu_u, nu_v) + d_vb(lam_u, lam_v) - lamv * d_vb(ln_u, ln_v)
-    r2 = d_ub(lam_u, lam_v) + d_vb(nu_u, nu_v) - lamv * d_ub(ln_u, ln_v)
-    r3 = np.abs(mval) * ln_ubvb - (lamv ** 2 + mval ** 2 - nu.value(U, V) ** 2)
-    eqs, passed = _rows([("eq1", r1, True), ("eq2", r2, True),
-                         ("eq3", r3, True)], tol)
+    eqs, passed = _fund_rows(barred(lam.partials(U, V)), barred(mp),
+                             barred(nu.partials(U, V)), -1, tol)
     return ResidualReport(system="syst1", equations=eqs, tol=tol,
                           passed=passed, epsilon=-1, grid=echo,
                           details={"scale": scale,

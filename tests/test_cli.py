@@ -1,5 +1,7 @@
 import csv
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +289,45 @@ def test_inconsistent_directrix_exit_code(flat_cfg, tmp_path, capsys):
     assert "violates sphere/arc-length normalization" in capsys.readouterr().err
 
 
+# Work beyond the caps is refused before any array is built or step taken:
+# uncapped, the first two never return and the directrix allocates 7 GB.
+OVERSIZED = [
+    pytest.param(lambda c: c["family"].update(u_min=-1e300), 3,
+                 "more than 1000000", id="cmc-u_min-1e300"),
+    pytest.param(lambda c: c.update(directrix={
+        "kind": "curvature", "kappa": "const:2", "v_max": 1e5}), 3,
+        "more than 1000000", id="directrix-v_max-1e5"),
+    pytest.param(lambda c: c.update(directrix={
+        "kind": "curvature", "kappa": "const:2", "h": 0.0}), 3,
+        "h=0.0", id="directrix-h-0"),
+    pytest.param(lambda c: c["grid"].update(nu=10 ** 400), 2,
+                 "exceeds 100000000 points", id="grid-nu-400-digits"),
+    pytest.param(lambda c: c["grid"].update(nu=10 ** 5, nv=10 ** 5), 2,
+                 "exceeds 100000000 points", id="grid-1e5-by-1e5"),
+]
+
+
+@pytest.mark.parametrize("edit, code, message", OVERSIZED)
+def test_oversized_work_is_refused_up_front(edit, code, message, cmc_cfg,
+                                            tmp_path, capsys):
+    cfg = json.loads(open(cmc_cfg).read())
+    edit(cfg)
+    bad = write_cfg(tmp_path / "big.json", cfg)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc = main(["generate", "--config", bad, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == code
+    assert time.perf_counter() - start < 30.0
+    assert peak < 64 * 2 ** 20
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "surface.csv").exists()
+
+
 NONFINITE_GEOMETRY = [
     ("generate", {"directrix": {"kind": "latitude", "kappa": float("inf")}}),
     ("generate", {"directrix": {"kind": "curvature",
@@ -486,8 +527,8 @@ def test_grid_json_writes_nonfinite_as_null(flat_cfg, tmp_path):
 # ---------------------------------------------------------------- fuzzing
 # Configs with wrong types, non-finite or out-of-range values and missing
 # keys.  Whatever the input, the CLI returns an exit code from 0 to 3.
-# Grids stay at most 8x8, positive steps at least 1e-3, and finite bounds
-# small, so every example runs in well under a second.
+# Counts and bounds are either small or beyond the grid and step caps
+# (refused up front), so every example runs in well under a second.
 
 _MISSING = object()
 _JUNK = [float("nan"), float("inf"), float("-inf"), "x", None, [1.0], {},
@@ -495,8 +536,9 @@ _JUNK = [float("nan"), float("inf"), float("-inf"), "x", None, [1.0], {},
 _HUGE_INT = 10 ** 400    # a JSON integer too large for a float
 _NUMBER = st.sampled_from(_JUNK + [-1.0, 0.0, 0.5, 2.0, 1e300, -1e300,
                                    _HUGE_INT])
-_BOUND = st.sampled_from(_JUNK + [-3.0, -1.0, 0.0, 0.5, 1.0, 3.0, _HUGE_INT])
-_COUNT = st.sampled_from(_JUNK + [-1, 0, 1, 2, 2.5, 8])
+_BOUND = st.sampled_from(_JUNK + [-3.0, -1.0, 0.0, 0.5, 1.0, 3.0, 1e300,
+                                  -1e300, _HUGE_INT])
+_COUNT = st.sampled_from(_JUNK + [-1, 0, 1, 2, 2.5, 8, 10 ** 9, _HUGE_INT])
 _STEP = st.sampled_from(_JUNK + [-1e-3, 0.0, 1e-3, 0.05, 1e300, _HUGE_INT])
 
 

@@ -11,12 +11,14 @@ from meridian4 import (
     jet_fn,
     quadrature,
 )
+from meridian4.diffkit import MAX_STEPS, step_count
 from meridian4.errors import (
     IntervalOutsideDomain,
     InvalidInitialState,
     OutOfDomain,
     StepSizeNonpositive,
     ToleranceNotReached,
+    TooManySteps,
 )
 
 
@@ -223,3 +225,17 @@ def test_ode_rejects_bad_step():
         integrate_profile(cosh_phi(), 2.0, (0.0, 1.0), 0.0)
     with pytest.raises(StepSizeNonpositive):
         integrate_profile(cosh_phi(), 2.0, (1.0, 0.0), 1e-2)
+    with pytest.raises(StepSizeNonpositive):
+        integrate_profile(cosh_phi(), 2.0, (0.0, 1.0), float("nan"))
+
+
+def test_ode_refuses_more_steps_than_the_cap():
+    # 10^303 steps: refused before the first one is taken
+    with pytest.raises(TooManySteps):
+        integrate_profile(cosh_phi(), 2.0, (-1e300, 1.0), 1e-3)
+    with pytest.raises(TooManySteps):
+        integrate_profile(cosh_phi(), 2.0, (0.0, float("inf")), 1e-3)
+    assert step_count(0.0, 1.0, 1e-3) == 1000
+    assert step_count(0.0, MAX_STEPS / 4, 0.25) == MAX_STEPS
+    with pytest.raises(TooManySteps):
+        step_count(0.0, MAX_STEPS / 4 + 1.0, 0.25)

@@ -9,7 +9,9 @@ from meridian4 import (
     MeridianSurface,
     build_profile,
     FamilySpec,
+    Jet3,
     constant_fn,
+    jet_fn,
     great_circle,
     latitude_circle,
     make_minimal,
@@ -26,6 +28,7 @@ from meridian4.natural_pde import (
     ISOTROPIC_GRAM,
     EquationResidual,
     IsotropicChart,
+    Partials2,
     ResidualReport,
     ScalarField2,
     canonical_scale,
@@ -56,18 +59,16 @@ def pnmc2_surface():
         directrix=latitude_circle(1.0))
 
 
-def _zero_field():
-    zero = lambda u, v: 0.0 * (np.asarray(u, dtype=float)
-                               + np.asarray(v, dtype=float))
-    return ScalarField2(zero, zero, zero, zero, zero, zero, name="0")
-
-
 def _const_field(c):
-    g = lambda u, v: c + 0.0 * (np.asarray(u, dtype=float)
-                                + np.asarray(v, dtype=float))
-    zero = lambda u, v: 0.0 * (np.asarray(u, dtype=float)
-                               + np.asarray(v, dtype=float))
-    return ScalarField2(g, zero, zero, zero, zero, zero, name=f"const:{c}")
+    def partials(u, v):
+        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
+        zero = np.zeros(shape)
+        return Partials2(c + zero, zero, zero, zero, zero, zero)
+    return ScalarField2(partials, name=f"const:{c}")
+
+
+def _zero_field():
+    return _const_field(0.0)
 
 
 # ---------------------------------------------------------------- frame
@@ -220,20 +221,21 @@ def test_chart_agrees_between_closed_and_quadrature(pnmc1_surface):
 
 
 # ---------------------------------------------------------------- fields
+def _sin_u_times_v(u, v):
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                               np.asarray(v, dtype=float))
+    s, c = np.sin(u), np.cos(u)
+    return Partials2(s * v, c * v, s, -s * v, c, 0.0 * u)
+
+
 def test_scalar_field_audit_catches_wrong_partial():
-    val = lambda u, v: np.sin(np.asarray(u, dtype=float)) * np.asarray(v, dtype=float)
-    good = {
-        "du": lambda u, v: np.cos(np.asarray(u, dtype=float)) * np.asarray(v, dtype=float),
-        "dv": lambda u, v: np.sin(np.asarray(u, dtype=float)) + 0.0 * np.asarray(v, dtype=float),
-        "duu": lambda u, v: -np.sin(np.asarray(u, dtype=float)) * np.asarray(v, dtype=float),
-        "duv": lambda u, v: np.cos(np.asarray(u, dtype=float)) + 0.0 * np.asarray(v, dtype=float),
-        "dvv": lambda u, v: 0.0 * (np.asarray(u, dtype=float) + np.asarray(v, dtype=float)),
-    }
-    ScalarField2(val, good["du"], good["dv"], good["duu"], good["duv"],
-                 good["dvv"], name="ok", audit_box=(0, 1, 0, 1))
+    ScalarField2(_sin_u_times_v, name="ok", audit_box=(0, 1, 0, 1))
+
+    def swapped(u, v):
+        p = _sin_u_times_v(u, v)
+        return p._replace(du=p.dv, dv=p.du)
     with pytest.raises(InconsistentGeometry):
-        ScalarField2(val, good["dv"], good["du"], good["duu"], good["duv"],
-                     good["dvv"], name="swapped", audit_box=(0, 1, 0, 1))
+        ScalarField2(swapped, name="swapped", audit_box=(0, 1, 0, 1))
 
 
 def test_solution_family_reproduces_example_fields():
@@ -250,6 +252,65 @@ def test_solution_family_reproduces_example_fields():
     assert mu2.value(2.0, 0.0) == pytest.approx(-5.0 / 16.0)
     with pytest.raises(EmptyInterval):
         solution_family(0.0, -1.0, kap)
+
+
+def test_scalar_field_audit_fails_on_nan_at_the_first_point():
+    def partials(u, v):
+        p = _sin_u_times_v(u, v)
+        u, v = np.broadcast_arrays(u, v)
+        return p._replace(duu=np.where((u > 0.4) & (v > 0.6), np.nan, p.duu))
+    # audit points are u, v in {0.25, 0.5, 0.75}; the NaN ones are
+    # (0.5, 0.75) and (0.75, 0.75), and the first in (u, v) order is named
+    with pytest.raises(InconsistentGeometry, match=r"at \(0\.5, 0\.75\)"):
+        ScalarField2(partials, name="nan", audit_box=(0, 1, 0, 1))
+
+
+def _symbolic_partials(sp, expr, x, y):
+    """Value and partials to order 2 of expr in (x, y), as numpy functions."""
+    exprs = [expr, sp.diff(expr, x), sp.diff(expr, y), sp.diff(expr, x, 2),
+             sp.diff(expr, x, y), sp.diff(expr, y, 2)]
+    return [sp.lambdify((x, y), e, "numpy") for e in exprs]
+
+
+def _assert_partials_match(field, fns, x, y):
+    got = field.partials(x, y)
+    for name, g, fn in zip(Partials2._fields, got, fns):
+        want = np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape)
+        assert np.all(np.abs(g - want) <= 1e-12 * (1.0 + np.abs(want))), (
+            field.name, name, g, want)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 3.0), (5.0, 0.0), (0.5, 2.0)])
+def test_solution_family_partials_match_symbolic_derivation(a, b):
+    """Independent oracle for the jet-built partials: sympy differentiates
+    the closed forms, and for the transported family the closed-form
+    chart inverse substituted into them."""
+    sp = pytest.importorskip("sympy")
+    u, v, ub, vb = sp.symbols("u v ubar vbar", real=True)
+    A, B = sp.nsimplify(a), sp.nsimplify(b)
+    r = sp.sqrt(A ** 2 + B)
+    S = B + 2 * A * u - u ** 2
+    lam_expr = (2 + sp.sin(v)) / (2 * sp.sqrt(S))
+    mu_expr = -r / S
+
+    kap = sin_offset_fn(2.0)
+    lam, mu, nu = solution_family(a, b, kap, audit=False)
+    us = a + float(r) * np.linspace(-0.7, 0.7, 6)
+    vs = np.linspace(0.3, 5.0, 6)
+    for field, expr in ((lam, lam_expr), (mu, mu_expr), (nu, lam_expr)):
+        _assert_partials_match(field, _symbolic_partials(sp, expr, u, v),
+                               us, vs)
+
+    tl, tm, tn, scale = transported_solution_family(a, b, kap)
+    s2 = sp.sqrt(2) * sp.nsimplify(scale)
+    inverse = {u: A + r * sp.sin((ub + vb) / s2), v: (ub - vb) / s2}
+    w = np.arcsin((us - a) / float(r))
+    ubs = scale * (w + vs) / np.sqrt(2.0)
+    vbs = scale * (w - vs) / np.sqrt(2.0)
+    for field, expr in ((tl, lam_expr), (tm, mu_expr), (tn, lam_expr)):
+        _assert_partials_match(
+            field, _symbolic_partials(sp, expr.subs(inverse), ub, vb),
+            ubs, vbs)
 
 
 def test_residual_syst1_examples_pass():
@@ -285,12 +346,8 @@ def test_residual_syst1_perturbed_mu_fails():
     kap = constant_fn(2.0)
     lam, mu, nu = solution_family(1.0, 3.0, kap)
     bad_mu = ScalarField2(
-        value=lambda u, v: 1.1 * mu.value(u, v),
-        du=lambda u, v: 1.1 * mu.du(u, v),
-        dv=lambda u, v: 1.1 * mu.dv(u, v),
-        duu=lambda u, v: 1.1 * mu.duu(u, v),
-        duv=lambda u, v: 1.1 * mu.duv(u, v),
-        dvv=lambda u, v: 1.1 * mu.dvv(u, v), name="1.1mu")
+        lambda u, v: Partials2(*(1.1 * x for x in mu.partials(u, v))),
+        name="1.1mu")
     surface = MeridianSurface(profile=make_pnmc1(1.0, 3.0),
                               directrix=latitude_circle(2.0))
     chart = IsotropicChart.for_minimal_family(surface, 1.0, 3.0)
@@ -356,20 +413,8 @@ def test_residual_fund_raw_coordinates_need_not_pass():
 def test_residual_degenerate_separable_and_counterexample():
     lam, nu = _zero_field(), _zero_field()
 
-    def e(u):
-        return np.exp(np.asarray(u, dtype=float))
-
-    def q(v):
-        return 2.0 + np.sin(np.asarray(v, dtype=float))
-
-    sep = ScalarField2(
-        value=lambda u, v: e(u) * q(v),
-        du=lambda u, v: e(u) * q(v),
-        dv=lambda u, v: e(u) * np.cos(np.asarray(v, dtype=float)),
-        duu=lambda u, v: e(u) * q(v),
-        duv=lambda u, v: e(u) * np.cos(np.asarray(v, dtype=float)),
-        dvv=lambda u, v: -e(u) * np.sin(np.asarray(v, dtype=float)),
-        name="A(u)B(v)", audit_box=(0, 1, 0, 1))
+    sep = ScalarField2.separable(jet_fn(Jet3.exp), sin_offset_fn(2.0),
+                                 name="A(u)B(v)", audit_box=(0, 1, 0, 1))
     grid = Grid2(0.0, 1.0, 9, 0.0, 1.0, 9)
     rep = residual_degenerate(lam, sep, nu, grid, tol=1e-10)
     assert rep.passed
@@ -377,24 +422,18 @@ def test_residual_degenerate_separable_and_counterexample():
     # v-translation of all fields leaves the verdict unchanged
     shift = 0.7
     sep_shifted = ScalarField2(
-        value=lambda u, v: sep.value(u, np.asarray(v, dtype=float) + shift),
-        du=lambda u, v: sep.du(u, np.asarray(v, dtype=float) + shift),
-        dv=lambda u, v: sep.dv(u, np.asarray(v, dtype=float) + shift),
-        duu=lambda u, v: sep.duu(u, np.asarray(v, dtype=float) + shift),
-        duv=lambda u, v: sep.duv(u, np.asarray(v, dtype=float) + shift),
-        dvv=lambda u, v: sep.dvv(u, np.asarray(v, dtype=float) + shift),
+        lambda u, v: sep.partials(u, np.asarray(v, dtype=float) + shift),
         name="shifted")
     assert residual_degenerate(lam, sep_shifted, nu, grid, tol=1e-10).passed
 
     one = _const_field(1.0)
-    exp_uv = ScalarField2(
-        value=lambda u, v: np.exp(-np.asarray(u, dtype=float) * np.asarray(v, dtype=float)),
-        du=lambda u, v: -np.asarray(v, dtype=float) * np.exp(-np.asarray(u, dtype=float) * np.asarray(v, dtype=float)),
-        dv=lambda u, v: -np.asarray(u, dtype=float) * np.exp(-np.asarray(u, dtype=float) * np.asarray(v, dtype=float)),
-        duu=lambda u, v: np.asarray(v, dtype=float) ** 2 * np.exp(-np.asarray(u, dtype=float) * np.asarray(v, dtype=float)),
-        duv=lambda u, v: (np.asarray(u, dtype=float) * np.asarray(v, dtype=float) - 1.0) * np.exp(-np.asarray(u, dtype=float) * np.asarray(v, dtype=float)),
-        dvv=lambda u, v: np.asarray(u, dtype=float) ** 2 * np.exp(-np.asarray(u, dtype=float) * np.asarray(v, dtype=float)),
-        name="exp(-uv)", audit_box=(0.1, 0.9, 0.1, 0.9))
+    def exp_minus_uv(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        e = np.exp(-u * v)
+        return Partials2(e, -v * e, -u * e, v ** 2 * e, (u * v - 1.0) * e,
+                         u ** 2 * e)
+    exp_uv = ScalarField2(exp_minus_uv, name="exp(-uv)",
+                          audit_box=(0.1, 0.9, 0.1, 0.9))
     rep = residual_degenerate(lam, exp_uv, one, grid, tol=1e-8)
     assert not rep.passed
 
