@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diffkit import Interval, integrate_profile, jet_fn
-from .families import FamilySpec, build_profile
+from .families import FamilySpec, build_profile, verify_family
 from .geometry import MeridianSurface, great_circle, latitude_circle
 from .grids import Grid2
 from .minkowski import verify_frame
@@ -142,11 +142,8 @@ def criterion_2() -> CriterionResult:
         k = surface.gauss_curvature(*grid.mesh())
         gap = float(np.max(np.abs(k.frame_route - k.profile_route)))
         checks.append(Check(f"{tag} route gap", gap, 1e-8))
-    flat, _, gridf = standard_instances()["Flat"]
-    kf = flat.gauss_curvature(*gridf.mesh())
-    checks.append(Check("Flat max|K|",
-                        max(float(np.max(np.abs(kf.frame_route))),
-                            float(np.max(np.abs(kf.profile_route)))), 1e-12))
+    flat = verify_family(*standard_instances()["Flat"])
+    checks.append(Check("Flat max|K|", flat.max_violation, 1e-12))
     cosh_s, _, gridc = standard_instances()["ConstantK"]
     kc = cosh_s.gauss_curvature(*gridc.mesh())
     checks.append(Check("cosh family max|K-1|",
@@ -158,10 +155,8 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """Minimal family: H vanishes and N1 is constant (hyperplane witness)."""
     surface, _, grid = standard_instances()["Minimal"]
-    U, V = grid.mesh()
-    mc = surface.mean_curvature(U, V)
-    hmax = float(np.max(np.hypot(mc.h1, mc.h2)))
-    du, dv = surface.normal_field_derivatives(U, V, (1.0, 0.0))
+    hmax = verify_family(*standard_instances()["Minimal"]).max_violation
+    du, dv = surface.normal_field_derivatives(*grid.mesh(), (1.0, 0.0))
     ndu = float(np.max(np.sqrt(np.sum(du ** 2, axis=-1))))
     ndv = float(np.max(np.sqrt(np.sum(dv ** 2, axis=-1))))
     return CriterionResult(3, "minimal family", (
@@ -173,9 +168,7 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """CMC family: ||H|| = 1 on the ODE-built surface; RK4 order >= 3.9."""
-    surface, spec, grid = standard_instances()["CMC"]
-    mc = surface.mean_curvature(*grid.mesh())
-    dev = float(np.max(np.abs(np.hypot(mc.h1, mc.h2) - spec.params["a"])))
+    dev = verify_family(*standard_instances()["CMC"]).max_violation
     phi = _cosh_phi()
     f0 = float(np.cosh(0.1))
     exact = float(np.cosh(1.1))
@@ -195,8 +188,7 @@ def criterion_5() -> CriterionResult:
     us = g1.u_points()
     f_err = float(np.max(np.abs(
         s1.profile.jets(us).f.f - np.cosh(us + 0.1))))
-    dx, dy = s1.normal_derivative_H(*g1.mesh())
-    dh = max(float(np.max(np.abs(c))) for c in (*dx, *dy))
+    dh = verify_family(*standard_instances()["ParallelH1"]).max_violation
     k1 = s1.gauss_curvature(*g1.mesh())
     kdev = max(float(np.max(np.abs(k1.frame_route - 1.0))),
                float(np.max(np.abs(k1.profile_route - 1.0))))
@@ -208,8 +200,7 @@ def criterion_5() -> CriterionResult:
     k2 = s2.gauss_curvature(*g2.mesh())
     k2max = max(float(np.max(np.abs(k2.frame_route))),
                 float(np.max(np.abs(k2.profile_route))))
-    dx2, dy2 = s2.normal_derivative_H(*g2.mesh())
-    dh2 = max(float(np.max(np.abs(c))) for c in (*dx2, *dy2))
+    dh2 = verify_family(*standard_instances()["ParallelH2"]).max_violation
     return CriterionResult(5, "parallel mean curvature, cases (i) and (ii)", (
         Check("(i) max |f - cosh(u+0.1)|", f_err, 1e-8),
         Check("(i) max |D H|", dh, 1e-7),
@@ -224,14 +215,10 @@ def criterion_6() -> CriterionResult:
     """Parallel unit direction with non-parallel H, both cases."""
     checks = []
     for tag in ("PNMC1", "PNMC2"):
-        surface, _, grid = standard_instances()[tag]
-        U, V = grid.mesh()
-        dx0, dy0 = surface.normal_derivative_H0(U, V)
-        dh0 = max(float(np.max(np.abs(c))) for c in (*dx0, *dy0))
-        dxh, _ = surface.normal_derivative_H(U, V)
-        wit = max(float(np.max(np.abs(c))) for c in dxh)
-        checks.append(Check(f"{tag} max |D H0|", dh0, 1e-7))
-        checks.append(Check(f"{tag} max |D_X H|", wit, 0.01, kind=">="))
+        verdict = verify_family(*standard_instances()[tag])
+        checks.append(Check(f"{tag} max |D H0|", verdict.max_violation, 1e-7))
+        checks.append(Check(f"{tag} max |D_X H|", verdict.details["max_DXH"],
+                            0.01, kind=">="))
     return CriterionResult(6, "parallel normalized mean curvature",
                            tuple(checks))
 

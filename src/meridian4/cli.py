@@ -158,7 +158,7 @@ def _build_surface(cfg: dict) -> tuple:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad family spec: {exc}")
     grid = _parse_grid(cfg["grid"])
-    if grid.u_min < spec.u_min - 1e-12 or grid.u_max > spec.u_max + 1e-12:
+    if grid.u_min < spec.u_min or grid.u_max > spec.u_max:
         raise ConfigError(
             f"grid u-range [{grid.u_min}, {grid.u_max}] outside family "
             f"interval [{spec.u_min}, {spec.u_max}]")

@@ -58,14 +58,27 @@ MAX_STEPS = 10 ** 6
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval (lo, hi); either end may be infinite."""
+    """Interval from lo to hi; either end may be infinite.
+
+    A validity domain, such as phi's or the minimal profile's, is open
+    (the default).  A range the code builds and samples itself (an ODE
+    solution's, a closed-form family's spec interval, an integrated
+    curve's) is ``closed``: grids may touch its endpoints.
+    """
 
     lo: float = -math.inf
     hi: float = math.inf
+    closed: bool = False
 
     def contains(self, u) -> bool:
         u = np.asarray(u)
+        if self.closed:
+            return bool(np.all(u >= self.lo) and np.all(u <= self.hi))
         return bool(np.all(u > self.lo) and np.all(u < self.hi))
+
+    def __str__(self) -> str:
+        ends = "[]" if self.closed else "()"
+        return f"{ends[0]}{self.lo}, {self.hi}{ends[1]}"
 
     def sample(self, n: int) -> np.ndarray:
         """n interior points; unbounded ends are cut to a finite window."""
@@ -226,9 +239,8 @@ class SmoothFn1:
 
     def __call__(self, u) -> Jet3:
         if not self.domain.contains(u):
-            raise OutOfDomain(
-                f"{self.name or 'function'} evaluated at {u} outside "
-                f"({self.domain.lo}, {self.domain.hi})")
+            raise OutOfDomain(f"{self.name or 'function'} evaluated at {u} "
+                              f"outside {self.domain}")
         return self.eval_jet(u)
 
     def value(self, u):
@@ -306,8 +318,7 @@ def quadrature(fn: SmoothFn1, a: float, b: float, tol: float = 1e-10,
     if b < a:
         a, b, sign = b, a, -1.0
     if not (fn.domain.contains(a) and fn.domain.contains(b)):
-        raise IntervalOutsideDomain(
-            f"[{a}, {b}] not inside ({fn.domain.lo}, {fn.domain.hi})")
+        raise IntervalOutsideDomain(f"[{a}, {b}] not inside {fn.domain}")
 
     f = fn.value
 
@@ -352,6 +363,12 @@ class CumulativeQuadrature:
         self._known[u] = val
         return val
 
+    def values(self, u):
+        """The antiderivative at each point of u, one point at a time."""
+        u = np.asarray(u, dtype=float)
+        out = np.array([self(x) for x in u.ravel()]).reshape(u.shape)
+        return out if u.ndim else float(out)
+
 
 # --------------------------------------------------------------------------
 # fixed-step 4th-order integration of f' = phi(f)
@@ -374,27 +391,24 @@ class OdeSolution:
 
     @property
     def domain(self) -> Interval:
-        return Interval(self.u0, self.u_end)
+        """Closed realized range [u0, requested_end] ([u0, u_end] if stopped)."""
+        end = self.u_end if self.stopped_reason else self.requested_end
+        return Interval(self.u0, end, closed=True)
 
     def node_us(self) -> np.ndarray:
         return self.u0 + self.h * np.arange(len(self.values))
 
     def value_at(self, u):
-        """Dense output: nearest node below, then one partial RK4 step.
+        """Dense output on :attr:`domain` (OutOfDomain outside it).
 
         Node queries snap to the node exactly (delta = 0 bit-for-bit),
         so equation-derived jets at nodes are reproducible.
         """
         u = np.asarray(u, dtype=float)
-        if np.any(u < self.u0 - 1e-9) or np.any(u > self.u_end + 1e-9):
-            raise OutOfDomain(
-                f"u={u} outside realized range [{self.u0}, {self.u_end}]")
-        steps = (u - self.u0) / self.h
-        idx = np.clip(np.floor(steps + 1e-9).astype(int), 0,
-                      len(self.values) - 1)
-        node = self.u0 + idx * self.h
-        out = _rk4_step(lambda _, f: self.phi.eval_jet(f).f,
-                        node, self.values[idx], u - node)
+        if not self.domain.contains(u):
+            raise OutOfDomain(f"u={u} outside realized range {self.domain}")
+        out = _dense_output(lambda _, f: self.phi.eval_jet(f).f, self.u0,
+                            self.h, self.values, u)
         return out if u.ndim else float(out)
 
     def jet_at(self, u) -> Jet3:
@@ -417,7 +431,38 @@ def _rk4_step(rhs, t, y, h):
 
 
 class _EarlyStop(Exception):
-    """Raised by a checking right-hand side; the message is the reason."""
+    """Raised by a checking rhs or node check; the message is the reason."""
+
+
+def _march(rhs, t0, y0, h, n_steps, check=lambda y: None):
+    """(nodes, reason) of n_steps RK4 steps of y' = rhs(t, y) from y(t0) = y0.
+
+    A :class:`_EarlyStop` from ``rhs`` or from ``check`` on a new node
+    ends the march; reason is then its message and the step's t.
+    """
+    nodes = np.empty((n_steps + 1,) + np.shape(y0))
+    nodes[0] = y = y0
+    for i in range(n_steps):
+        t = t0 + i * h
+        try:
+            y = _rk4_step(rhs, t, y, h)
+            check(y)
+        except _EarlyStop as stop:
+            return nodes[:i + 1].copy(), f"{stop} at u={t:.6g}"
+        nodes[i + 1] = y
+    return nodes, None
+
+
+def _dense_output(rhs, t0, h, nodes, t):
+    """y at the float array t from fixed-step nodes: the nearest node
+    below t, then one partial RK4 step (Hairer, Norsett and Wanner,
+    Solving ODEs I, II.6).  A node's own t snaps to it exactly."""
+    idx = np.clip(np.floor((t - t0) / h + 1e-9).astype(int), 0,
+                  len(nodes) - 1)
+    node = t0 + idx * h
+    shape = idx.shape + (1,) * (nodes.ndim - 1)   # an axis per state axis
+    return _rk4_step(rhs, np.reshape(node, shape), nodes[idx],
+                     np.reshape(t - node, shape))
 
 
 def step_count(t0: float, t1: float, h: float) -> int:
@@ -455,9 +500,12 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
     if not np.isfinite(p0):
         raise InvalidInitialState(f"phi(f0) is not finite at f0={f0}")
 
-    def slope(_, f):
+    def inside(f, what):
         if not (np.isfinite(f) and phi.domain.contains(f)):
-            raise _EarlyStop("stage left phi domain")
+            raise _EarlyStop(f"{what} left phi domain")
+
+    def slope(_, f):
+        inside(f, "stage")
         k = phi.eval_jet(f).f
         if not np.isfinite(k):
             raise _EarlyStop("phi not finite at stage")
@@ -465,18 +513,7 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
             raise _EarlyStop("derivative overflow")
         return k
 
-    values = [float(f0)]
-    stopped = None
-    y = float(f0)
-    for i in range(n_steps):
-        u = u0 + i * h
-        try:
-            y = float(_rk4_step(slope, u, y, h))
-            if not (np.isfinite(y) and phi.domain.contains(y)):
-                raise _EarlyStop("state left phi domain")
-        except _EarlyStop as stop:
-            stopped = f"{stop} at u={u:.6g}"
-            break
-        values.append(y)
-    return OdeSolution(phi=phi, u0=u0, h=h, values=np.array(values),
+    values, stopped = _march(slope, u0, float(f0), h, n_steps,
+                             lambda f: inside(f, "state"))
+    return OdeSolution(phi=phi, u0=u0, h=h, values=values,
                        requested_end=u1, stopped_reason=stopped)

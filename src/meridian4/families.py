@@ -59,8 +59,6 @@ TAGS = ("Flat", "ConstantK", "Minimal", "CMC",
 #: max |D_X H| at least this large somewhere on the grid.
 DH_WITNESS_FLOOR = 0.01
 
-_EDGE = 1e-9  # widening that lets grids touch closed interval endpoints
-
 
 def _quiet(expr: Callable[[Jet3], Jet3]):
     """Jet evaluator that returns NaN (not a warning) outside the radicand."""
@@ -106,8 +104,8 @@ def make_constant_K(K: float, a1: float, a2: float, interval: Interval,
                     sign_g: int = 1) -> MeridianProfile:
     """Profile solving f'' = K f, for nonzero constant Gauss curvature K.
 
-    g comes from quadrature of sqrt(f'^2 + 1) anchored at the interval's
-    left endpoint (additive constant zero).
+    g comes from quadrature of sqrt(f'^2 + 1) anchored at the left end of
+    the closed range [interval.lo, interval.hi] (additive constant zero).
     """
     if K == 0:
         raise ParameterConflict("K must be nonzero; use make_flat for K = 0")
@@ -120,7 +118,7 @@ def make_constant_K(K: float, a1: float, a2: float, interval: Interval,
         return a1 * w.cos() + a2 * w.sin()
 
     f_eval = lambda u: expr(Jet3.variable(np.asarray(u, dtype=float)))
-    domain = Interval(interval.lo - _EDGE, interval.hi + _EDGE)
+    domain = Interval(interval.lo, interval.hi, closed=True)
     return profile_from_f_jets(f_eval, domain, sign_g=sign_g,
                                name=f"constant-K(K={K},a1={a1},a2={a2})")
 
@@ -190,9 +188,8 @@ def _ode_profile(phi: SmoothFn1, f0: float, interval: tuple, h: float,
     if not np.isfinite(phi.eval_jet(f0).f):
         raise RadicandNegative(f"{name}: phi(f0) undefined at f0={f0}")
     sol = integrate_profile(phi, f0, interval, h)
-    domain = Interval(sol.u0 - _EDGE, sol.u_end + _EDGE)
-    return profile_from_f_jets(sol.jet_at, domain, sign_g=sign_g, name=name,
-                               ode=sol)
+    return profile_from_f_jets(sol.jet_at, sol.domain, sign_g=sign_g,
+                               name=name, ode=sol)
 
 
 def make_cmc(a_h: float, b_kappa: float, c: float, f0: float,
@@ -346,7 +343,7 @@ def build_profile(spec: FamilySpec) -> MeridianProfile:
     span = (spec.u_min, spec.u_max)
     if spec.tag == "Flat":
         return make_flat(p["a"], p["b"], p.get("c", 0.0), sg,
-                         interval=Interval(spec.u_min - _EDGE, spec.u_max + _EDGE))
+                         interval=Interval(spec.u_min, spec.u_max, closed=True))
     if spec.tag == "ConstantK":
         return make_constant_K(p["K"], p["a1"], p["a2"],
                                Interval(spec.u_min, spec.u_max), sg)

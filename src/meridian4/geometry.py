@@ -40,7 +40,8 @@ from .diffkit import (
     Jet3,
     OdeSolution,
     SmoothFn1,
-    _rk4_step,
+    _dense_output,
+    _march,
     constant_fn,
     step_count,
 )
@@ -127,9 +128,7 @@ class SphericalCurve:
     def data(self, v) -> CurveData:
         v = np.asarray(v, dtype=float)
         if not self.domain.contains(v):
-            raise OutOfDomain(
-                f"v={v} outside directrix domain "
-                f"({self.domain.lo}, {self.domain.hi})")
+            raise OutOfDomain(f"v={v} outside directrix domain {self.domain}")
         jets = self.components(v)
         l, t, tp, tpp = ([getattr(j, d) for j in jets]
                          for d in ("f", "d1", "d2", "d3"))
@@ -159,18 +158,20 @@ class SphericalCurve:
             raise InconsistentGeometry(
                 f"curve {self.name!r} breaks moving-frame closure "
                 f"(deviation {dev:.3e})")
-        # independent cross-check: component jets against central differences
-        h = 1e-3
-        for v in vs[1:-1]:
-            jets = self.components(np.asarray(v))
-            for k in range(3):
-                comp = lambda w, k=k: np.asarray(
-                    self.components(np.asarray(w))[k].f)
-                fd1 = (comp(v + h) - comp(v - h)) / (2 * h)
-                if not abs(fd1 - jets[k].d1) / (1 + abs(jets[k].d1)) <= 1e-5:
-                    raise InconsistentGeometry(
-                        f"curve {self.name!r}: jet d1 disagrees with finite "
-                        f"differences at v={v}")
+        # independent cross-check, one batch: jets against central differences
+        h, vi = 1e-3, vs[1:-1]
+
+        def rows(w, order):   # shape (3 components, len(vi))
+            return np.array([np.broadcast_to(getattr(j, order), vi.shape)
+                             for j in self.components(w)])
+
+        d1 = rows(vi, "d1")
+        fd1 = (rows(vi + h, "f") - rows(vi - h, "f")) / (2 * h)
+        bad = ~np.all(np.abs(fd1 - d1) / (1 + np.abs(d1)) <= 1e-5, axis=0)
+        if np.any(bad):
+            raise InconsistentGeometry(
+                f"curve {self.name!r}: jet d1 disagrees with finite "
+                f"differences at v={vi[np.argmax(bad)]}")
 
 
 def great_circle(domain: Interval = Interval()) -> SphericalCurve:
@@ -206,14 +207,11 @@ def curve_from_curvature(kappa: SmoothFn1, v_range: tuple[float, float],
     """Spherical curve with prescribed geodesic curvature kappa(v).
 
     Integrates the moving-frame system l' = t, t' = kappa n - l,
-    n' = -kappa t with the same fixed-step scheme used for profiles;
-    component jets then come from the closure relations, not from
-    differencing.
+    n' = -kappa t on the closed range [v0, v1] with the profiles' march
+    and dense output; component jets come from the closure relations.
     """
     v0, v1 = float(v_range[0]), float(v_range[1])
     n_steps = step_count(v0, v1, h)
-    state = np.zeros((n_steps + 1, 9))
-    state[0] = np.array([1, 0, 0, 0, 1, 0, 0, 0, 1], dtype=float)
 
     def rhs(v, y):
         # v is a scalar, or has a trailing axis of length 1 like the steps
@@ -221,18 +219,11 @@ def curve_from_curvature(kappa: SmoothFn1, v_range: tuple[float, float],
         k = np.asarray(kappa.eval_jet(v).f)
         return np.concatenate([t, k * n - l, -k * t], axis=-1)
 
-    for i in range(n_steps):
-        state[i + 1] = _rk4_step(rhs, v0 + i * h, state[i], h)
-
-    def state_at(v):
-        v = np.asarray(v, dtype=float)[..., None]
-        idx = np.clip(((v[..., 0] - v0) / h).astype(int), 0, n_steps)
-        node = (v0 + idx * h)[..., None]
-        return _rk4_step(rhs, node, state[idx], v - node)
+    state, _ = _march(rhs, v0, np.eye(3).ravel(), h, n_steps)   # (l, t, n)
 
     def components(v):
         v = np.asarray(v, dtype=float)
-        y = state_at(v)
+        y = _dense_output(rhs, v0, h, state, v)
         l, t, n = y[..., 0:3], y[..., 3:6], y[..., 6:9]
         kj = kappa.eval_jet(v)
         k, kp = np.asarray(kj.f)[..., None], np.asarray(kj.d1)[..., None]
@@ -242,7 +233,7 @@ def curve_from_curvature(kappa: SmoothFn1, v_range: tuple[float, float],
                      for c in range(3))
 
     return SphericalCurve(components=components, curvature=kappa,
-                          domain=Interval(v0, v1),
+                          domain=Interval(v0, v1, closed=True),
                           name=name or f"curvature-driven({kappa.name})")
 
 
@@ -289,9 +280,7 @@ class MeridianProfile:
     def jets(self, u) -> ProfileJets:
         u = np.asarray(u, dtype=float)
         if not self.domain.contains(u):
-            raise OutOfDomain(
-                f"u={u} outside profile domain "
-                f"({self.domain.lo}, {self.domain.hi})")
+            raise OutOfDomain(f"u={u} outside profile domain {self.domain}")
         return ProfileJets(self.f_eval(u), self.g_eval(u))
 
     @property
@@ -315,7 +304,8 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
     """Profile with g obtained by quadrature of sqrt(f'^2 + 1).
 
     The antiderivative is anchored at the left end of the domain (or at
-    u = 0 when unbounded), so g(anchor) = 0.
+    u = 0 when unbounded), so g(anchor) = 0; a finite left end must
+    belong to the domain, as in the closed ranges the families build.
     """
     anchor = domain.lo if np.isfinite(domain.lo) else 0.0
 
@@ -323,17 +313,12 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
         g = g_jet_from_f(f_eval(np.asarray(u, dtype=float)), sign_g, 0.0)
         return Jet3(g.d1, g.d2, g.d3, 0.0)
 
-    gd_fn = SmoothFn1(gd_jet, Interval(domain.lo - 1e-6, domain.hi + 1e-6),
-                      name="g'")
-    cumulative = CumulativeQuadrature(gd_fn, anchor, tol=1e-12)
+    cumulative = CumulativeQuadrature(SmoothFn1(gd_jet, domain, name="g'"),
+                                      anchor, tol=1e-12)
 
     def g_eval(u):
         u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            gv = cumulative(float(u))
-        else:
-            gv = np.array([cumulative(x) for x in u.ravel()]).reshape(u.shape)
-        return g_jet_from_f(f_eval(u), sign_g, gv)
+        return g_jet_from_f(f_eval(u), sign_g, cumulative.values(u))
 
     return MeridianProfile(f_eval=f_eval, g_eval=g_eval, domain=domain,
                            sign_g=sign_g, name=name, ode=ode)

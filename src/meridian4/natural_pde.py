@@ -303,15 +303,8 @@ class IsotropicChart:
         inv_f = SmoothFn1(
             lambda u: surface.profile.f_eval(np.asarray(u, dtype=float)).reciprocal(),
             dom, name="1/f")
-        cq = CumulativeQuadrature(inv_f, anchor, tol=1e-13)
-
-        def U(u):
-            u = np.asarray(u, dtype=float)
-            if u.ndim == 0:
-                return cq(float(u))
-            return np.array([cq(x) for x in u.ravel()]).reshape(u.shape)
-
-        return cls(surface=surface, U=U, name="quadrature")
+        return cls(surface=surface, name="quadrature",
+                   U=CumulativeQuadrature(inv_f, anchor, tol=1e-13).values)
 
     @classmethod
     def for_minimal_family(cls, surface: MeridianSurface, a: float,

@@ -73,11 +73,33 @@ def test_generate_rejects_degenerate_grid(flat_cfg, tmp_path, capsys):
     assert main(["generate", "--config", bad]) == 2
 
 
-def test_generate_rejects_grid_outside_family(flat_cfg, tmp_path):
-    cfg = json.loads(open(flat_cfg).read())
-    cfg["grid"]["u_max"] = 5.0
-    bad = write_cfg(tmp_path / "bad2.json", cfg)
-    assert main(["generate", "--config", bad]) == 2
+def test_generate_rejects_grid_outside_family(flat_cfg, tmp_path, capsys):
+    # the family interval [-2, 2] is closed, with no slack beyond it
+    for key, value in (("u_max", 5.0), ("u_max", 2.0 + 1e-13),
+                       ("u_min", -2.0 - 1e-13)):
+        cfg = json.loads(open(flat_cfg).read())
+        cfg["grid"][key] = value
+        bad = write_cfg(tmp_path / "bad2.json", cfg)
+        assert main(["generate", "--config", bad]) == 2
+        assert "outside family interval" in capsys.readouterr().err
+
+
+def test_curvature_directrix_serves_its_own_end_points(tmp_path, capsys):
+    # grid v in [0, 6] on a curve integrated over exactly [0, 6]
+    cfg = write_cfg(tmp_path / "pnmc1.json", {
+        "family": {"tag": "PNMC1", "a": 0.0, "b": 1.0, "kappa": 2.0,
+                   "u_min": -0.9, "u_max": 0.9},
+        "directrix": {"kind": "curvature", "kappa": "sin-offset:2",
+                      "v_min": 0, "v_max": 6},
+        "grid": {"u_min": -0.9, "u_max": 0.9, "nu": 7,
+                 "v_min": 0.0, "v_max": 6.0, "nv": 9},
+    })
+    out = tmp_path / "out"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "surface.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 7 * 9
+    assert {float(r["v"]) for r in rows} >= {0.0, 6.0}
 
 
 def test_verify_cmc_passes(cmc_cfg, capsys):

@@ -11,7 +11,7 @@ from meridian4 import (
     jet_fn,
     quadrature,
 )
-from meridian4.diffkit import MAX_STEPS, step_count
+from meridian4.diffkit import MAX_STEPS, CumulativeQuadrature, step_count
 from meridian4.errors import (
     IntervalOutsideDomain,
     InvalidInitialState,
@@ -74,6 +74,17 @@ def test_dual_arithmetic():
     # q = sqrt(u^2+1)/u, q' = -1/(u^2 sqrt(u^2+1)) at u=2
     assert q.f == pytest.approx(np.sqrt(5) / 2)
     assert q.d1 == pytest.approx(-1 / (4 * np.sqrt(5)))
+
+
+# ---------------------------------------------------------------- Interval
+def test_interval_is_open_unless_closed():
+    opened, closed = Interval(0.0, 1.0), Interval(0.0, 1.0, closed=True)
+    assert not opened.contains(0.0) and not opened.contains(1.0)
+    assert opened.contains(np.array([1e-300, 0.5, 1.0 - 1e-16]))
+    assert closed.contains(np.array([0.0, 0.5, 1.0]))
+    for u in (1.0 + 1e-15, -5e-324, np.nan):
+        assert not closed.contains(u)
+    assert (str(opened), str(closed)) == ("(0.0, 1.0)", "[0.0, 1.0]")
 
 
 # ---------------------------------------------------------------- SmoothFn1
@@ -157,6 +168,20 @@ def test_quadrature_exact_on_cubics(coeffs, a, b):
                                                         rel=1e-12)
 
 
+def test_cumulative_quadrature_values_are_the_pointwise_calls():
+    fn = jet_fn(lambda j: j.cos(), Interval(-10, 10))
+    u = np.array([[0.3, -1.0], [2.0, 0.3]])
+    cq = CumulativeQuadrature(fn, 0.0)
+    got = cq.values(u)
+    assert got.shape == (2, 2)
+    assert np.max(np.abs(got - np.sin(u))) < 1e-11
+    # same points in the same order give the same memoized values
+    fresh = CumulativeQuadrature(fn, 0.0)
+    assert [fresh(x) for x in u.ravel()] == list(got.ravel())
+    scalar = cq.values(0.3)
+    assert isinstance(scalar, float) and scalar == got[0, 0]
+
+
 # ---------------------------------------------------------------- RK4
 def cosh_phi():
     return jet_fn(lambda t: (t * t - 1.0).sqrt(), Interval(1.0, 1e9))
@@ -213,6 +238,30 @@ def test_ode_early_stop_is_recorded():
     assert sol.stopped_reason is not None
     assert sol.u_end < 1.0
     assert sol.values[-1] > 0.0
+    # the realized range ends at the last node
+    assert sol.domain == Interval(0.0, sol.u_end, closed=True)
+    assert sol.value_at(sol.u_end) == sol.values[-1]
+    with pytest.raises(OutOfDomain):
+        sol.value_at(sol.u_end + 1e-3)
+
+
+def test_ode_dense_output_covers_exactly_its_closed_range():
+    sol = integrate_profile(cosh_phi(), float(np.cosh(0.1)), (0.0, 1.0), 1e-3)
+    assert sol.domain == Interval(0.0, 1.0, closed=True)
+    assert sol.value_at(0.0) == sol.values[0]
+    assert sol.value_at(1.0) == sol.values[-1]
+    for u in (1.0 + 5e-10, -5e-10, np.array([0.5, 1.0 + 5e-10])):
+        with pytest.raises(OutOfDomain):
+            sol.value_at(u)
+
+
+def test_ode_range_reaches_the_requested_end_between_nodes():
+    # 1.0004 / 1e-3 rounds to 1000 steps; the last 0.4 h is dense output
+    sol = integrate_profile(cosh_phi(), float(np.cosh(0.1)), (0.0, 1.0004),
+                            1e-3)
+    assert len(sol.values) == 1001
+    assert sol.domain == Interval(0.0, 1.0004, closed=True)
+    assert abs(sol.value_at(1.0004) - np.cosh(1.1004)) < 1e-9
 
 
 def test_ode_invalid_initial_state():

@@ -28,6 +28,7 @@ from meridian4 import (
 from meridian4.errors import (
     EmptyInterval,
     NonpositiveProfile,
+    OutOfDomain,
     ParameterConflict,
     RadicandNegative,
 )
@@ -131,9 +132,45 @@ def test_ode_profiles_satisfy_profile_constraint():
     for p in (make_cmc(1.0, 1.0, 1.0, 1.0, (0.0, 1.0), 1e-3),
               make_parallel_H1(1.0, 0.0, float(np.cosh(0.1)), (0.0, 1.0), 1e-3),
               make_pnmc2(1.0, 2.0, 1.0, 1.0, (0.0, 0.8), 1e-3)):
-        u = np.linspace(p.domain.lo + 1e-9, p.domain.hi - 1e-9, 25)
+        u = np.linspace(p.domain.lo, p.domain.hi, 25)
         j = p.jets(u)
         assert np.max(np.abs(j.f.d1 ** 2 - j.g.d1 ** 2 + 1.0)) < 1e-9
+
+
+def test_ode_profile_g_is_anchored_at_u0():
+    # f = cosh(u + 0.1) on [0, 1], so g = sinh(u + 0.1) - sinh(0.1)
+    p = make_parallel_H1(1.0, 0.0, float(np.cosh(0.1)), (0.0, 1.0), 1e-3)
+    assert p.domain == Interval(0.0, 1.0, closed=True)
+    assert p.jets(0.0).g.f == 0.0
+    u = np.linspace(0.0, 1.0, 101)
+    g = p.jets(u).g.f
+    assert np.max(np.abs(g - (np.sinh(u + 0.1) - np.sinh(0.1)))) <= 1e-11
+
+
+def test_ode_profile_refuses_points_past_its_realized_range():
+    p = make_cmc(1.0, 1.0, 1.0, 1.0, (0.0, 1.0), 1e-3)
+    p.jets(np.array([0.0, 1.0]))
+    for u in (1.0 + 5e-10, -5e-10):
+        with pytest.raises(OutOfDomain):
+            p.jets(u)
+
+
+def test_constant_K_g_is_anchored_at_the_left_end():
+    p = make_constant_K(1.0, 1.0, 0.0, Interval(-1.0, 1.0))
+    assert p.domain == Interval(-1.0, 1.0, closed=True)
+    assert p.jets(-1.0).g.f == 0.0
+    # f = cosh u, so g = sinh u - sinh(-1)
+    assert abs(p.jets(1.0).g.f - 2.0 * np.sinh(1.0)) < 1e-11
+
+
+def test_spec_interval_of_closed_form_families_is_closed():
+    for spec in (FamilySpec("Flat", {"a": 1.0, "b": 3.0}, -2.0, 2.0),
+                 FamilySpec("ConstantK", {"K": 1.0, "a1": 1.0, "a2": 0.0},
+                            -1.0, 1.0)):
+        p = build_profile(spec)
+        assert p.domain == Interval(spec.u_min, spec.u_max, closed=True)
+        with pytest.raises(OutOfDomain):
+            p.jets(spec.u_max + 1e-12)
 
 
 # ---------------------------------------------------------------- FamilySpec

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,10 +78,30 @@ def test_user_curve_is_validated_at_load():
 def test_curve_data_enforces_domain():
     curve = curve_from_curvature(constant_fn(0.5), (0.0, 1.0))
     assert curve.data(0.5).l.shape == (4,)
-    with pytest.raises(OutOfDomain):
-        curve.data(3.0)
-    with pytest.raises(OutOfDomain):
-        curve.data(np.array([0.5, -0.2]))
+    # the integrated range [0, 1] is closed, with no slack beyond it
+    assert curve.domain == Interval(0.0, 1.0, closed=True)
+    assert curve.data(np.array([0.0, 1.0])).l.shape == (2, 4)
+    for v in (3.0, np.array([0.5, -0.2]), 1.0 + 5e-10, -5e-10):
+        with pytest.raises(OutOfDomain):
+            curve.data(v)
+
+
+def test_curve_jet_check_names_the_first_failing_v():
+    # unit-speed jets reported at phi(v), which speeds up past v = 3: the
+    # sphere and frame-closure checks hold, central differences do not
+    def components(v):
+        v = np.asarray(v, dtype=float)
+        phi = v + 0.5 * np.maximum(v - 3.0, 0.0) ** 2
+        s, c, z = np.sin(phi), np.cos(phi), 0.0 * v
+        return Jet3(c, -s, -c, s), Jet3(s, c, -s, -c), Jet3(z, z, z, z)
+
+    domain = Interval(0, 2 * np.pi)
+    vi = domain.sample(9)[1:-1]
+    first = vi[vi > 3.0][0]
+    with pytest.raises(InconsistentGeometry,
+                       match=re.escape(f"differences at v={first}") + "$"):
+        SphericalCurve(components=components, curvature=constant_fn(0.0),
+                       domain=domain)
 
 
 def test_user_curve_with_consistent_jets_loads():
