@@ -143,10 +143,12 @@ def _build_directrix(d: dict, grid: Grid2):
         if "kappa" not in d:
             raise ConfigError("curvature directrix needs a kappa selector")
         kap = _parse_kappa(str(d["kappa"]))
-        pad = 0.05 * (grid.v_max - grid.v_min) + 1e-3
-        v0 = float(d.get("v_min", grid.v_min - pad))
-        v1 = float(d.get("v_max", grid.v_max + pad))
-        return curve_from_curvature(kap, (v0, v1), h=float(d.get("h", 1e-3)))
+        h = float(d.get("h", 1e-3))
+        lo, hi = sorted((grid.v_min, grid.v_max))
+        v0 = float(d.get("v_min", lo))
+        # the grid's v-range; a constant-v grid still needs one step
+        v1 = float(d.get("v_max", max(hi, v0 + h)))
+        return curve_from_curvature(kap, (v0, v1), h=h)
     raise ConfigError(f"unknown directrix kind {kind!r}")
 
 

@@ -15,6 +15,12 @@ obtained by differencing but follow from the equation itself:
 
 Finite differences appear only in :func:`fd_check`, which exists as an
 independent cross-check oracle for jets produced elsewhere.
+
+:func:`quadrature` is adaptive Simpson over arrays of intervals, refined
+breadth-first with one integrand evaluation per level.  A profile's g is
+a :class:`CumulativeQuadrature` of g': each call integrates all of its
+points not yet memoized in one such pass and memoizes them, so g can
+move in its last bits with the set of earlier queries.
 """
 from __future__ import annotations
 
@@ -305,69 +311,128 @@ def fd_check(fn: SmoothFn1, u: float, h: float) -> float:
 # adaptive Simpson quadrature
 # --------------------------------------------------------------------------
 
-def quadrature(fn: SmoothFn1, a: float, b: float, tol: float = 1e-10,
-               max_depth: int = 48) -> float:
-    """Adaptive Simpson estimate of the integral of fn over [a, b].
+def quadrature(fn: SmoothFn1, a, b, tol: float = 1e-10,
+               max_depth: int = 48):
+    """Adaptive Simpson estimate of the integral of fn over each [a, b].
 
-    Exact to rounding on polynomials of degree <= 3 per panel; raises
-    :class:`ToleranceNotReached` when the recursion depth cap is hit.
+    a and b broadcast against each other; two scalars give a float.  The
+    refinement runs breadth-first over the panels of all intervals at
+    once: each level evaluates fn once, at the quarter-points of every
+    open panel, and accepts a panel when |left + right - whole| <= 15 eps,
+    with eps = tol halved per level.  Exact to rounding on polynomials of
+    degree <= 3 per panel.  A zero-length interval gives 0 and a reversed
+    one the negated integral.  Raises :class:`IntervalOutsideDomain`
+    naming the first interval that leaves fn's domain, and
+    :class:`ToleranceNotReached` when a panel is still open at depth
+    ``max_depth``.
     """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-    if not (fn.domain.contains(a) and fn.domain.contains(b)):
-        raise IntervalOutsideDomain(f"[{a}, {b}] not inside {fn.domain}")
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    owner = np.flatnonzero(~(lo == hi))     # NaN ends go to the domain check
+    lo, hi = lo[owner], hi[owner]
+    inside = fn.domain.contains
+    if not (inside(lo) and inside(hi)):
+        i = next(i for i in range(owner.size)
+                 if not (inside(lo[i]) and inside(hi[i])))
+        raise IntervalOutsideDomain(f"[{lo[i]}, {hi[i]}] not inside {fn.domain}")
 
-    f = fn.value
+    def f(*points):
+        """fn on several point arrays in one call."""
+        x = np.concatenate(points)
+        return np.split(np.broadcast_to(fn.value(x), x.shape), len(points))
 
-    def simpson(fa, fm, fb, lo, hi):
-        return (hi - lo) * (fa + 4.0 * fm + fb) / 6.0
-
-    def recurse(lo, hi, fa, fm, fb, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
+    total = np.zeros(a.size)
+    mid = 0.5 * (lo + hi)
+    fa, fm, fb = f(lo, mid, hi) if owner.size else (lo, lo, lo)
+    whole = (hi - lo) * (fa + 4.0 * fm + fb) / 6.0
+    eps = tol
+    for depth in range(max_depth + 1):
+        if not owner.size:
+            break
         lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, lo, mid)
-        right = simpson(fm, frm, fb, mid, hi)
+        flm, frm = f(lm, rm)
+        left = (mid - lo) * (fa + 4.0 * flm + fm) / 6.0
+        right = (hi - mid) * (fm + 4.0 * frm + fb) / 6.0
         err = left + right - whole
-        if abs(err) <= 15.0 * eps:
-            return left + right + err / 15.0
-        if depth >= max_depth:
+        done = np.abs(err) <= 15.0 * eps
+        np.add.at(total, owner[done], (left + right + err / 15.0)[done])
+        more = ~done
+        if depth == max_depth and more.any():
+            i = np.argmax(more)
             raise ToleranceNotReached(
                 f"Simpson refinement exceeded depth {max_depth} on "
-                f"[{lo}, {hi}]")
-        return (recurse(lo, mid, fa, flm, fm, left, 0.5 * eps, depth + 1)
-                + recurse(mid, hi, fm, frm, fb, right, 0.5 * eps, depth + 1))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(fa, fm, fb, a, b)
-    return sign * recurse(a, b, fa, fm, fb, whole, tol, 0)
+                f"[{lo[i]}, {hi[i]}]")
+        # each open panel splits into [lo, mid] and [mid, hi]
+        owner = np.tile(owner[more], 2)
+        lo, hi = (np.concatenate([lo[more], mid[more]]),
+                  np.concatenate([mid[more], hi[more]]))
+        fa, fm, fb = (np.concatenate([fa[more], fm[more]]),
+                      np.concatenate([flm[more], frm[more]]),
+                      np.concatenate([fm[more], fb[more]]))
+        whole = np.concatenate([left[more], right[more]])
+        mid = 0.5 * (lo + hi)
+        eps *= 0.5
+    total = total.reshape(a.shape)
+    out = np.where(b < a, -total, total)
+    return out if out.ndim else float(out)
 
 
 class CumulativeQuadrature:
-    """Antiderivative u -> integral_{u0}^{u} fn, memoized at visited points."""
+    """Antiderivative u -> integral_{u0}^{u} fn, memoized at visited points.
+
+    A call takes any array of points and returns the antiderivative in
+    its shape (a float for a scalar).  The points not yet memoized are
+    integrated in one :func:`quadrature` call, each from its neighbour
+    towards its anchor: the nearest memoized point on its left, or on
+    its right when it lies left of them all.  Each new value is then a
+    cumulative sum from its anchor, so g(u0) = 0 exactly, while other
+    values may move in their last bits with the set of earlier queries.
+    """
 
     def __init__(self, fn: SmoothFn1, u0: float, tol: float = 1e-12):
         self.fn = fn
         self.tol = tol
-        self._known: dict[float, float] = {float(u0): 0.0}
+        self._u = np.array([float(u0)])     # memoized points, sorted
+        self._g = np.array([0.0])           # the antiderivative there
 
-    def __call__(self, u: float) -> float:
-        u = float(u)
-        if u in self._known:
-            return self._known[u]
-        anchor = min(self._known, key=lambda x: abs(x - u))
-        val = self._known[anchor] + quadrature(self.fn, anchor, u, self.tol)
-        self._known[u] = val
-        return val
-
-    def values(self, u):
-        """The antiderivative at each point of u, one point at a time."""
+    def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        out = np.array([self(x) for x in u.ravel()]).reshape(u.shape)
+        at = np.searchsorted(self._u, u)
+        known = self._u[np.minimum(at, self._u.size - 1)] == u
+        if not known.all():
+            new = np.sort(u[~known])
+            # unique points (NaN, never equal, reaches the domain check)
+            self._learn(new[np.append(True, new[1:] != new[:-1])])
+            at = np.searchsorted(self._u, u)
+        out = self._g[at]
         return out if u.ndim else float(out)
+
+    def _learn(self, new):
+        """Memoize the antiderivative at the sorted, unique new points."""
+        known, g = self._u, self._g
+        below = new[new < known[0]]
+        above = new[~(new < known[0])]
+        # runs of points above known[0] start at their nearest known point
+        # on the left; each later point steps from its left neighbour
+        anchor = np.searchsorted(known, above) - 1
+        first = np.searchsorted(anchor, anchor)     # where each run starts
+        starts = first == np.arange(above.size)
+        prev = np.append(known[0], above)[:-1]
+        prev[starts] = known[anchor[starts]]
+        # points below known[0] step down from their right neighbour
+        steps = quadrature(
+            self.fn, np.concatenate([prev, np.append(below, known[0])[:0:-1]]),
+            np.concatenate([above, below[::-1]]), self.tol)
+        up, down = steps[:above.size], steps[above.size:]
+        summed = np.cumsum(up)
+        before = np.append(0.0, summed[:-1])
+        g_up = g[anchor] + (summed - before[first])
+        g_down = g[0] + np.cumsum(down)[::-1]
+        points = np.concatenate([below, known, above])
+        order = np.argsort(points, kind="stable")
+        self._u = points[order]
+        self._g = np.concatenate([g_down, g, g_up])[order]
 
 
 # --------------------------------------------------------------------------

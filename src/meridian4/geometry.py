@@ -318,7 +318,7 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
 
     def g_eval(u):
         u = np.asarray(u, dtype=float)
-        return g_jet_from_f(f_eval(u), sign_g, cumulative.values(u))
+        return g_jet_from_f(f_eval(u), sign_g, cumulative(u))
 
     return MeridianProfile(f_eval=f_eval, g_eval=g_eval, domain=domain,
                            sign_g=sign_g, name=name, ode=ode)

@@ -304,7 +304,7 @@ class IsotropicChart:
             lambda u: surface.profile.f_eval(np.asarray(u, dtype=float)).reciprocal(),
             dom, name="1/f")
         return cls(surface=surface, name="quadrature",
-                   U=CumulativeQuadrature(inv_f, anchor, tol=1e-13).values)
+                   U=CumulativeQuadrature(inv_f, anchor, tol=1e-13))
 
     @classmethod
     def for_minimal_family(cls, surface: MeridianSurface, a: float,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from meridian4 import cli
+from meridian4 import Grid2, cli
 from meridian4.cli import main
 from meridian4.natural_pde import geometric_functions
 
@@ -100,6 +100,18 @@ def test_curvature_directrix_serves_its_own_end_points(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 7 * 9
     assert {float(r["v"]) for r in rows} >= {0.0, 6.0}
+
+
+def test_default_curvature_directrix_spans_the_grid_v_range():
+    # the curve starts its frame at grid.v_min, whatever grid.v_max is
+    directrix = {"kind": "curvature", "kappa": "sin-offset:2"}
+    long, short = (cli._build_directrix(directrix, Grid2(0.0, 1.0, 2, 0.0, v1, 5))
+                   for v1 in (6.0, 3.0))
+    assert str(long.domain) == "[0.0, 6.0]" and str(short.domain) == "[0.0, 3.0]"
+    assert np.array_equal(long.data(1.0).l, short.data(1.0).l)
+    # a constant-v grid gets a curve one step long
+    point = cli._build_directrix(directrix, Grid2(0.0, 1.0, 2, 1.0, 1.0, 5))
+    assert str(point.domain) == "[1.0, 1.001]"
 
 
 def test_verify_cmc_passes(cmc_cfg, capsys):

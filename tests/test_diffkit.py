@@ -138,12 +138,22 @@ def test_quadrature_orientation_and_empty():
     cubic = jet_fn(lambda j: j ** 3, Interval(-10, 10))
     assert quadrature(cubic, 1.0, 0.0, 1e-12) == pytest.approx(-0.25)
     assert quadrature(cubic, 0.3, 0.3) == 0.0
+    # one batch may mix both, and an empty batch gives an empty array
+    got = quadrature(cubic, [0.0, 1.0, 0.3, 2.0], [1.0, 0.0, 0.3, 2.0], 1e-12)
+    assert got == pytest.approx([0.25, -0.25, 0.0, 0.0], abs=5e-15)
+    assert np.array_equal(quadrature(cubic, [], []), np.zeros(0))
 
 
 def test_quadrature_domain_error():
     fn = jet_fn(lambda j: j, Interval(0.0, 1.0))
     with pytest.raises(IntervalOutsideDomain):
         quadrature(fn, -0.5, 0.5)
+    # a batch names its first bad interval; empty ones are not evaluated
+    with pytest.raises(IntervalOutsideDomain, match=r"\[0.5, 1.25\]"):
+        quadrature(fn, [0.1, 1.25, -3.0], [0.2, 0.5, 0.5])
+    assert np.array_equal(quadrature(fn, [0.2, 5.0], [0.2, 5.0]), [0.0, 0.0])
+    with pytest.raises(IntervalOutsideDomain):
+        quadrature(fn, [0.1, np.nan], [0.2, 0.5])
 
 
 def test_quadrature_depth_cap():
@@ -152,6 +162,9 @@ def test_quadrature_depth_cap():
         Interval(-1, 2))
     with pytest.raises(ToleranceNotReached):
         quadrature(kink, 0.0, 1.0, tol=1e-16, max_depth=8)
+    with pytest.raises(ToleranceNotReached, match="depth 8"):
+        quadrature(kink, [1.0, 0.0, 1.5], [1.5, 1.0, 1.6], tol=1e-16,
+                   max_depth=8)
 
 
 @given(st.tuples(*[st.floats(min_value=-3, max_value=3)] * 4),
@@ -168,18 +181,56 @@ def test_quadrature_exact_on_cubics(coeffs, a, b):
                                                         rel=1e-12)
 
 
+def test_quadrature_batch_matches_scalar_calls():
+    fn = jet_fn(lambda j: (j * 1.3).sin() * j.exp(), Interval(-10, 10))
+    a = np.array([[-2.0, 0.1, 3.0], [0.0, -0.5, 1.0]])
+    b = np.array([[1.0, 0.2, 3.5], [4.0, 2.5, -1.0]])
+    got = quadrature(fn, a, b, 1e-10)
+    assert got.shape == a.shape
+    want = [quadrature(fn, x, y, 1e-10) for x, y in zip(a.ravel(), b.ravel())]
+    assert np.max(np.abs(got.ravel() - want)) <= 1e-10
+    # scalars broadcast against arrays, and two scalars give a float
+    row = quadrature(fn, 0.0, b[0], 1e-10)
+    assert row.shape == (3,)
+    assert isinstance(quadrature(fn, 0.0, 1.0), float)
+
+
+@given(st.tuples(*[st.floats(min_value=-3, max_value=3)] * 4),
+       st.lists(st.tuples(st.floats(min_value=-2, max_value=2.5),
+                          st.floats(min_value=-2, max_value=2.5)),
+                min_size=1, max_size=12))
+@settings(max_examples=25, deadline=None)
+def test_quadrature_batch_exact_on_cubics(coeffs, ends):
+    c0, c1, c2, c3 = coeffs
+    fn = jet_fn(lambda j: c0 + c1 * j + c2 * j * j + c3 * j ** 3,
+                Interval(-10, 10))
+    a, b = np.array(ends).T
+
+    def antiderivative(x):
+        return c0 * x + c1 * x ** 2 / 2 + c2 * x ** 3 / 3 + c3 * x ** 4 / 4
+
+    exact = antiderivative(b) - antiderivative(a)
+    got = quadrature(fn, a, b, 1e-12)
+    assert np.all(np.abs(got - exact) <= 1e-12 * (1 + np.abs(exact)))
+
+
 def test_cumulative_quadrature_values_are_the_pointwise_calls():
     fn = jet_fn(lambda j: j.cos(), Interval(-10, 10))
-    u = np.array([[0.3, -1.0], [2.0, 0.3]])
+    u = np.array([[0.3, -1.0], [2.0, 0.3], [-2.5, 1.1]])
     cq = CumulativeQuadrature(fn, 0.0)
-    got = cq.values(u)
-    assert got.shape == (2, 2)
-    assert np.max(np.abs(got - np.sin(u))) < 1e-11
-    # same points in the same order give the same memoized values
+    cq(np.array([0.7, -0.2]))               # earlier queries on both sides
+    got = cq(u)
+    assert got.shape == u.shape
     fresh = CumulativeQuadrature(fn, 0.0)
-    assert [fresh(x) for x in u.ravel()] == list(got.ravel())
-    scalar = cq.values(0.3)
+    pointwise = np.array([fresh(x) for x in u.ravel()]).reshape(u.shape)
+    bound = 1e-12 * (1 + np.abs(got))
+    assert np.all(np.abs(got - pointwise) <= bound)
+    assert np.all(np.abs(got - np.sin(u)) <= bound)
+    # a repeated batch is served from the memo, bit for bit
+    assert np.array_equal(cq(u), got)
+    scalar = cq(0.3)
     assert isinstance(scalar, float) and scalar == got[0, 0]
+    assert cq(0.0) == 0.0
 
 
 # ---------------------------------------------------------------- RK4
