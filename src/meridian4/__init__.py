@@ -11,6 +11,7 @@ from .diffkit import (
     OdeSolution,
     SmoothFn1,
     constant_fn,
+    expr_fn,
     fd_check,
     integrate_profile,
     jet_fn,

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diffkit import Interval, integrate_profile, jet_fn
+from .diffkit import Interval, expr_fn, integrate_profile, sin_offset_fn, sqrt
 from .families import FamilySpec, build_profile, verify_family
 from .geometry import MeridianSurface, great_circle, latitude_circle
 from .grids import Grid2
@@ -31,7 +31,6 @@ from .natural_pde import (
     solution_family,
     transported_solution_family,
 )
-from .diffkit import sin_offset_fn
 
 __all__ = ["Check", "CriterionResult", "run_all", "format_table"]
 
@@ -116,8 +115,8 @@ def standard_instances() -> dict:
 
 
 def _cosh_phi():
-    return jet_fn(lambda t: (t * t - 1.0).sqrt(), Interval(1.0, 1e9),
-                  name="sqrt(f^2-1)")
+    return expr_fn(lambda t: sqrt(t * t - 1.0), Interval(1.0, 1e9),
+                   name="sqrt(f^2-1)")
 
 
 # ---------------------------------------------------------------------------

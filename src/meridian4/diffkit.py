@@ -5,9 +5,17 @@ derivatives at a point and propagates them through arithmetic by the
 Leibniz and Faa di Bruno rules.  All fields may be numpy arrays, so jet
 expressions evaluate vectorized over sample grids.
 
+A :class:`SmoothFn1` made by :func:`expr_fn` holds one expression that
+runs on floats, arrays and Jet3 alike: the elementary functions here
+(:func:`sqrt`, :func:`log`, :func:`sin`) dispatch on Jet3, and a quotient is
+written ``a * (1.0 / b)``, the way Jet3 divides, so its values equal
+its jets' f bit for bit and never build a jet.
+
 Profiles defined by an autonomous equation f' = phi(f) are integrated
-with the classical 4th-order one-step method; their jets are *not*
-obtained by differencing but follow from the equation itself:
+with the classical 4th-order one-step method.  The march and the dense
+output evaluate phi on floats; a Jet3 of phi is built only where jets
+are read, and they are *not* obtained by differencing but follow from
+the equation itself:
 
     f'   = phi(f)
     f''  = phi'(f) phi(f)
@@ -48,6 +56,10 @@ __all__ = [
     "quadrature",
     "fd_check",
     "jet_fn",
+    "expr_fn",
+    "sqrt",
+    "log",
+    "sin",
     "constant_fn",
     "sin_offset_fn",
     "poly_fn",
@@ -77,6 +89,10 @@ class Interval:
     closed: bool = False
 
     def contains(self, u) -> bool:
+        if isinstance(u, float):        # a NaN is outside, as below
+            if self.closed:
+                return bool(self.lo <= u <= self.hi)
+            return bool(self.lo < u < self.hi)
         u = np.asarray(u)
         if self.closed:
             return bool(np.all(u >= self.lo) and np.all(u <= self.hi))
@@ -231,32 +247,83 @@ def _as_jet(x) -> Jet3:
     return x if isinstance(x, Jet3) else Jet3.constant(x)
 
 
+# elementary functions for expressions that run on floats and on jets alike
+
+def sqrt(x):
+    """np.sqrt of a float or an array; Jet3.sqrt of a jet."""
+    return x.sqrt() if isinstance(x, Jet3) else np.sqrt(x)
+
+
+def log(x):
+    """np.log of a float or an array; Jet3.log of a jet."""
+    return x.log() if isinstance(x, Jet3) else np.log(x)
+
+
+def sin(x):
+    """np.sin of a float or an array; Jet3.sin of a jet."""
+    return x.sin() if isinstance(x, Jet3) else np.sin(x)
+
+
+def _floats(u):
+    """u as Jet3.variable holds it: a float, or an array of floats."""
+    if isinstance(u, float):
+        return u
+    u = np.asarray(u, dtype=float)
+    return u if u.ndim else float(u)
+
+
 @dataclass(frozen=True)
 class SmoothFn1:
     """Scalar function with order-3 jets on a declared open interval.
 
-    Evaluation outside the interval raises :class:`OutOfDomain` rather
-    than silently returning garbage.
+    ``expr``, when set, is the function written once for floats, arrays
+    and Jet3 alike (see :func:`expr_fn`): values then come from it on
+    floats and never build a jet.  Evaluation outside the interval
+    raises :class:`OutOfDomain` rather than silently returning garbage.
     """
 
     eval_jet: Callable[["ArrayLike"], Jet3]
     domain: Interval = field(default_factory=Interval)
     name: str = ""
+    expr: Callable | None = None
 
     def __call__(self, u) -> Jet3:
-        if not self.domain.contains(u):
-            raise OutOfDomain(f"{self.name or 'function'} evaluated at {u} "
-                              f"outside {self.domain}")
+        self._check(u)
         return self.eval_jet(u)
 
     def value(self, u):
-        return self(u).f
+        self._check(u)
+        return self.eval_value(u)
+
+    def eval_value(self, u):
+        """The value at u, unchecked; only a Jet3-only function builds a jet."""
+        if self.expr is None:
+            return self.eval_jet(u).f
+        return self.expr(_floats(u))
+
+    def _check(self, u) -> None:
+        if not self.domain.contains(u):
+            raise OutOfDomain(f"{self.name or 'function'} evaluated at {u} "
+                              f"outside {self.domain}")
 
 
 def jet_fn(expr: Callable[[Jet3], Jet3], domain: Interval = Interval(),
            name: str = "") -> SmoothFn1:
     """SmoothFn1 from a closed-form jet expression u -> expr(Jet3.variable(u))."""
     return SmoothFn1(lambda u: expr(Jet3.variable(u)), domain, name)
+
+
+def expr_fn(expr: Callable, domain: Interval = Interval(),
+            name: str = "") -> SmoothFn1:
+    """SmoothFn1 from one expression that runs on floats, arrays and Jet3.
+
+    expr may use arithmetic and this module's elementary functions
+    (:func:`sqrt`, :func:`log`, :func:`sin`).  Values evaluate it on floats,
+    jets on ``Jet3.variable(u)``.  Write a quotient a / b as
+    ``a * (1.0 / b)``, the way Jet3 divides, and a power as a product:
+    the values then equal the jets' f bit for bit.
+    """
+    return SmoothFn1(lambda u: expr(Jet3.variable(u)), domain, name, expr)
 
 
 def constant_fn(c: float, domain: Interval = Interval()) -> SmoothFn1:
@@ -267,7 +334,7 @@ def constant_fn(c: float, domain: Interval = Interval()) -> SmoothFn1:
 
 def sin_offset_fn(c: float, domain: Interval = Interval()) -> SmoothFn1:
     """u -> c + sin(u)."""
-    return jet_fn(lambda j: c + j.sin(), domain, name=f"sin-offset:{c}")
+    return expr_fn(lambda u: c + sin(u), domain, name=f"sin-offset:{c}")
 
 
 def poly_fn(coeffs, domain: Interval = Interval()) -> SmoothFn1:
@@ -439,9 +506,18 @@ class CumulativeQuadrature:
 # fixed-step 4th-order integration of f' = phi(f)
 # --------------------------------------------------------------------------
 
+def _quiet():
+    """NaN or inf from phi off its radicand is a result to check, not a warning."""
+    return np.errstate(invalid="ignore", divide="ignore")
+
+
 @dataclass(frozen=True)
 class OdeSolution:
-    """Solution of f' = phi(f) on a uniform grid, with equation-derived jets."""
+    """Solution of f' = phi(f) on a uniform grid, with equation-derived jets.
+
+    ``phi_evals`` counts the evaluations of phi the march made, the
+    check of phi(f0) included: 4 steps + 1 on a full run.
+    """
 
     phi: SmoothFn1
     u0: float
@@ -449,10 +525,15 @@ class OdeSolution:
     values: np.ndarray
     requested_end: float
     stopped_reason: str | None = None
+    phi_evals: int = 0
+
+    @property
+    def steps(self) -> int:
+        return len(self.values) - 1
 
     @property
     def u_end(self) -> float:
-        return self.u0 + (len(self.values) - 1) * self.h
+        return self.u0 + self.steps * self.h
 
     @property
     def domain(self) -> Interval:
@@ -472,14 +553,16 @@ class OdeSolution:
         u = np.asarray(u, dtype=float)
         if not self.domain.contains(u):
             raise OutOfDomain(f"u={u} outside realized range {self.domain}")
-        out = _dense_output(lambda _, f: self.phi.eval_jet(f).f, self.u0,
-                            self.h, self.values, u)
+        with _quiet():
+            out = _dense_output(lambda _, f: self.phi.eval_value(f), self.u0,
+                                self.h, self.values, u)
         return out if u.ndim else float(out)
 
     def jet_at(self, u) -> Jet3:
         """Jets per the defining equation at the dense-output value."""
         y = self.value_at(u)
-        p = self.phi.eval_jet(y)
+        with _quiet():
+            p = self.phi.eval_jet(y)
         d1 = p.f
         d2 = p.d1 * p.f
         d3 = (p.d2 * p.f + p.d1 ** 2) * p.f
@@ -552,6 +635,8 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
                       h: float) -> OdeSolution:
     """Integrate f' = phi(f) from f(u_range[0]) = f0 with fixed step h.
 
+    phi is evaluated on floats (:meth:`SmoothFn1.eval_value`); its NaN
+    and division by zero go to the checks below, not to warnings.
     Integration stops early, with a recorded reason, if a stage leaves
     phi's validity interval, produces a non-finite value, or |phi|
     exceeds :data:`DEFAULT_OVERFLOW_BOUND`.  An early stop is an event
@@ -561,24 +646,27 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
     n_steps = step_count(u0, u1, h)
     if not phi.domain.contains(f0):
         raise InvalidInitialState(f"f0={f0} outside phi's domain")
-    p0 = phi.eval_jet(f0).f
-    if not np.isfinite(p0):
-        raise InvalidInitialState(f"phi(f0) is not finite at f0={f0}")
+    evals = 1
 
     def inside(f, what):
-        if not (np.isfinite(f) and phi.domain.contains(f)):
+        if not (math.isfinite(f) and phi.domain.contains(f)):
             raise _EarlyStop(f"{what} left phi domain")
 
     def slope(_, f):
+        nonlocal evals
         inside(f, "stage")
-        k = phi.eval_jet(f).f
-        if not np.isfinite(k):
+        evals += 1
+        k = phi.eval_value(f)
+        if not math.isfinite(k):
             raise _EarlyStop("phi not finite at stage")
         if abs(k) > DEFAULT_OVERFLOW_BOUND:
             raise _EarlyStop("derivative overflow")
         return k
 
-    values, stopped = _march(slope, u0, float(f0), h, n_steps,
-                             lambda f: inside(f, "state"))
-    return OdeSolution(phi=phi, u0=u0, h=h, values=values,
-                       requested_end=u1, stopped_reason=stopped)
+    with _quiet():
+        if not np.isfinite(phi.eval_value(f0)):
+            raise InvalidInitialState(f"phi(f0) is not finite at f0={f0}")
+        values, stopped = _march(slope, u0, float(f0), h, n_steps,
+                                 lambda f: inside(f, "state"))
+    return OdeSolution(phi=phi, u0=u0, h=h, values=values, requested_end=u1,
+                       stopped_reason=stopped, phi_evals=evals)

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .diffkit import Interval, Jet3, SmoothFn1, integrate_profile
+from .diffkit import Interval, Jet3, SmoothFn1, expr_fn, integrate_profile, log, sqrt
 from .errors import EmptyInterval, NonpositiveProfile, ParameterConflict, RadicandNegative
 from .geometry import (
     MeridianProfile,
@@ -58,16 +57,6 @@ TAGS = ("Flat", "ConstantK", "Minimal", "CMC",
 #: Non-parallel H witness: verify_family on the PNMC tags requires
 #: max |D_X H| at least this large somewhere on the grid.
 DH_WITNESS_FLOOR = 0.01
-
-
-def _quiet(expr: Callable[[Jet3], Jet3]):
-    """Jet evaluator that returns NaN (not a warning) outside the radicand."""
-
-    def eval_jet(u):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return expr(Jet3.variable(u))
-
-    return eval_jet
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +174,9 @@ def make_pnmc1(a: float, b: float, c: float = 0.0,
 
 def _ode_profile(phi: SmoothFn1, f0: float, interval: tuple, h: float,
                  sign_g: int, name: str) -> MeridianProfile:
-    if not np.isfinite(phi.eval_jet(f0).f):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p0 = phi.eval_value(f0)
+    if not np.isfinite(p0):
         raise RadicandNegative(f"{name}: phi(f0) undefined at f0={f0}")
     sol = integrate_profile(phi, f0, interval, h)
     return profile_from_f_jets(sol.jet_at, sol.domain, sign_g=sign_g,
@@ -216,17 +207,16 @@ def make_cmc(a_h: float, b_kappa: float, c: float, f0: float,
         raise RadicandNegative(
             f"4 a^2 f0^2 - b^2 = {4 * a_h ** 2 * f0 ** 2 - b2} must be positive")
 
-    def expr(t: Jet3) -> Jet3:
+    def expr(t):
         X = 4.0 * a_h * a_h * t * t - b2
-        sq = X.sqrt()
+        sq = sqrt(X)
         G = c + inner * (0.5 * t * sq - (b2 / (4.0 * a_h))
-                         * (2.0 * a_h * t + sq).log())
-        rad = G * G / (t * t) - 1.0
-        return outer * rad.sqrt()
+                         * log(2.0 * a_h * t + sq))
+        rad = G * G * (1.0 / (t * t)) - 1.0
+        return outer * sqrt(rad)
 
-    phi = SmoothFn1(_quiet(expr),
-                    Interval(abs(b_kappa) / (2.0 * a_h), math.inf),
-                    name="cmc-phi")
+    phi = expr_fn(expr, Interval(abs(b_kappa) / (2.0 * a_h), math.inf),
+                  name="cmc-phi")
     return _ode_profile(phi, f0, interval, h, sign_g,
                         name=f"cmc(a={a_h},kappa={b_kappa},c={c})")
 
@@ -241,12 +231,12 @@ def make_parallel_H1(a: float, c: float, f0: float, interval: tuple,
         raise RadicandNegative(
             f"(c + a f0^2)^2 - f0^2 <= 0 at f0={f0}")
 
-    def expr(t: Jet3) -> Jet3:
+    def expr(t):
         inner = c + a * t * t
         rad = inner * inner - t * t
-        return branch * rad.sqrt() / t
+        return branch * sqrt(rad) * (1.0 / t)
 
-    phi = SmoothFn1(_quiet(expr), Interval(0.0, math.inf), name="parallel-H-phi")
+    phi = expr_fn(expr, Interval(0.0, math.inf), name="parallel-H-phi")
     return _ode_profile(phi, f0, interval, h, sign_g,
                         name=f"parallel-H1(a={a},c={c})")
 
@@ -267,12 +257,12 @@ def make_pnmc2(a: float, c: float, kappa0: float, f0: float, interval: tuple,
     if (c * f0 + a) ** 2 - f0 * f0 <= 0:
         raise RadicandNegative(f"(c f0 + a)^2 - f0^2 <= 0 at f0={f0}")
 
-    def expr(t: Jet3) -> Jet3:
+    def expr(t):
         inner = c * t + a
         rad = inner * inner - t * t
-        return branch * rad.sqrt() / t
+        return branch * sqrt(rad) * (1.0 / t)
 
-    phi = SmoothFn1(_quiet(expr), Interval(0.0, math.inf), name="pnmc2-phi")
+    phi = expr_fn(expr, Interval(0.0, math.inf), name="pnmc2-phi")
     return _ode_profile(phi, f0, interval, h, sign_g,
                         name=f"pnmc2(a={a},c={c},kappa={kappa0})")
 

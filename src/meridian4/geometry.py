@@ -216,7 +216,7 @@ def curve_from_curvature(kappa: SmoothFn1, v_range: tuple[float, float],
     def rhs(v, y):
         # v is a scalar, or has a trailing axis of length 1 like the steps
         l, t, n = y[..., 0:3], y[..., 3:6], y[..., 6:9]
-        k = np.asarray(kappa.eval_jet(v).f)
+        k = np.asarray(kappa.eval_value(v))
         return np.concatenate([t, k * n - l, -k * t], axis=-1)
 
     state, _ = _march(rhs, v0, np.eye(3).ravel(), h, n_steps)   # (l, t, n)

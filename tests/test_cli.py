@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +264,20 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "10/10 acceptance criteria passed" in out
     assert out.count("[PASS]") == 10
+
+
+def test_selfcheck_does_not_import_numpy_ma():
+    # np.median's NaN check imports numpy.ma, about 20 ms per process;
+    # a fresh process, since this one may have imported it already
+    code = ("import sys; from meridian4.cli import main; "
+            "assert main(['selfcheck']) == 0; print('numpy.ma' in sys.modules)")
+    path = [str(Path(__file__).resolve().parent.parent / "src"),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_thread_cap_env(monkeypatch, flat_cfg, tmp_path):

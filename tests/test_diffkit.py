@@ -11,7 +11,14 @@ from meridian4 import (
     jet_fn,
     quadrature,
 )
-from meridian4.diffkit import MAX_STEPS, CumulativeQuadrature, step_count
+from meridian4.diffkit import (
+    MAX_STEPS,
+    CumulativeQuadrature,
+    expr_fn,
+    sin,
+    sqrt,
+    step_count,
+)
 from meridian4.errors import (
     IntervalOutsideDomain,
     InvalidInitialState,
@@ -85,6 +92,18 @@ def test_interval_is_open_unless_closed():
     for u in (1.0 + 1e-15, -5e-324, np.nan):
         assert not closed.contains(u)
     assert (str(opened), str(closed)) == ("(0.0, 1.0)", "[0.0, 1.0]")
+    # a float takes a scalar path; it answers as the array path does
+    inf = float("inf")
+    points = (0.0, 1.0, 0.5, -0.0, 1.0 + 1e-16, -1e-300, inf, -inf,
+              float("nan"))
+    for lo, hi in ((0.0, 1.0), (0.0, inf), (-inf, inf)):
+        for closed in (False, True):
+            iv = Interval(lo, hi, closed)
+            for u in points:
+                want = iv.contains(np.array([u]))
+                for scalar in (u, np.float64(u)):
+                    got = iv.contains(scalar)
+                    assert type(got) is bool and got == want, (iv, scalar)
 
 
 # ---------------------------------------------------------------- SmoothFn1
@@ -93,6 +112,29 @@ def test_smoothfn_domain_is_enforced():
     with pytest.raises(OutOfDomain):
         fn(5.0)
     assert fn(1.0).f == pytest.approx(1.0)
+
+
+def test_expr_fn_values_are_the_jets_f_and_build_no_jet():
+    seen = []
+
+    def expr(t):
+        seen.append(type(t))
+        return 2.0 + sin(t) * sqrt(t * t + 1.0) * (1.0 / t)
+
+    fn = expr_fn(expr, Interval(0.0, 10.0))
+    u = np.linspace(0.1, 9.9, 57)
+    assert np.array_equal(fn.value(u), fn(u).f)
+    assert all(fn.value(x) == fn(x).f for x in u[::7])
+    seen.clear()
+    fn.value(0.5), fn.value(u), fn.eval_value(np.float64(0.5))
+    assert Jet3 not in seen
+    with pytest.raises(OutOfDomain):
+        fn.value(np.array([0.5, 10.0]))
+    # the jets are those of the Jet3-only spelling, bit for bit
+    twin = jet_fn(lambda j: 2.0 + j.sin() * (j * j + 1.0).sqrt() / j,
+                  Interval(0.0, 10.0))
+    for a, b in zip(fn(u).derivatives(), twin(u).derivatives()):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- fd_check
@@ -313,6 +355,31 @@ def test_ode_range_reaches_the_requested_end_between_nodes():
     assert len(sol.values) == 1001
     assert sol.domain == Interval(0.0, 1.0004, closed=True)
     assert abs(sol.value_at(1.0004) - np.cosh(1.1004)) < 1e-9
+
+
+def test_ode_counts_phi_evaluations():
+    sol = integrate_profile(cosh_phi(), float(np.cosh(0.1)), (0.0, 1.0), 1e-2)
+    assert sol.stopped_reason is None
+    assert (sol.steps, sol.phi_evals) == (100, 4 * 100 + 1)
+    # f' = -1 from f = 1 with h = 0.3: nodes 1, 0.7, 0.4, 0.1; the next
+    # step evaluates its first stage, and its second (0.1 - 0.15) leaves
+    # the domain before phi is evaluated there
+    down = jet_fn(lambda t: t * 0.0 - 1.0, Interval(0.0, 10.0))
+    sol = integrate_profile(down, 1.0, (0.0, 3.0), 0.3)
+    assert sol.stopped_reason == "stage left phi domain at u=0.9"
+    assert (sol.steps, sol.phi_evals) == (3, 1 + 4 * 3 + 1)
+
+
+def test_jet_only_phi_integrates_like_its_float_expression():
+    f0 = float(np.cosh(0.1))
+    floats = expr_fn(lambda t: sqrt(t * t - 1.0), Interval(1.0, 1e9))
+    a = integrate_profile(cosh_phi(), f0, (0.0, 1.0), 1e-3)
+    b = integrate_profile(floats, f0, (0.0, 1.0), 1e-3)
+    assert np.array_equal(a.values, b.values)
+    assert a.phi_evals == b.phi_evals == 4001
+    u = np.linspace(0.0, 1.0, 37)
+    for x, y in zip(a.jet_at(u).derivatives(), b.jet_at(u).derivatives()):
+        assert np.array_equal(x, y)
 
 
 def test_ode_invalid_initial_state():

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from meridian4 import (
     FamilySpec,
@@ -12,7 +14,9 @@ from meridian4 import (
     build_profile,
     build_surface,
     curve_from_curvature,
+    expr_fn,
     great_circle,
+    integrate_profile,
     latitude_circle,
     make_cmc,
     make_constant_K,
@@ -25,6 +29,7 @@ from meridian4 import (
     sin_offset_fn,
     verify_family,
 )
+from meridian4.acceptance import _cosh_phi, standard_instances
 from meridian4.errors import (
     EmptyInterval,
     NonpositiveProfile,
@@ -343,3 +348,166 @@ def test_verdict_json_writes_nonfinite_as_null():
     assert data["max_violation"] is None
     assert data["details"] == {"max_DXH": None, "target_norm": 1.0}
     assert data["tol"] == 1e-6 and data["grid"]["nu"] == 3
+
+
+# ------------------------------------------- float march against a jet march
+def jet_march(phi, f0, u_range, h):
+    """The RK4 march with phi evaluated as a full Jet3, reading only .f.
+
+    Returns (nodes, stopped_reason, phi evaluations) with the stop rules
+    and messages of ``integrate_profile``; domain checks go through the
+    array path of ``Interval.contains``.
+    """
+    u0, u1 = float(u_range[0]), float(u_range[1])
+    evals = 1
+
+    class Stop(Exception):
+        pass
+
+    def inside(f, what):
+        if not (np.isfinite(f) and phi.domain.contains(np.asarray(f))):
+            raise Stop(f"{what} left phi domain")
+
+    def slope(f):
+        nonlocal evals
+        inside(f, "stage")
+        evals += 1
+        k = phi.eval_jet(f).f
+        if not np.isfinite(k):
+            raise Stop("phi not finite at stage")
+        if abs(k) > 1e12:
+            raise Stop("derivative overflow")
+        return k
+
+    y = float(f0)
+    nodes = [y]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(max(int(round((u1 - u0) / h)), 1)):
+            t = u0 + i * h
+            try:
+                k1 = slope(y)
+                k2 = slope(y + 0.5 * h * k1)
+                k3 = slope(y + 0.5 * h * k2)
+                k4 = slope(y + h * k3)
+                y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                inside(y, "state")
+            except Stop as stop:
+                return np.array(nodes), f"{stop} at u={t:.6g}", evals
+            nodes.append(y)
+    return np.array(nodes), None, evals
+
+
+def jet_dense_output(sol, u):
+    """value_at by one partial RK4 step from the node below, phi as a jet."""
+    idx = np.clip(np.floor((u - sol.u0) / sol.h + 1e-9).astype(int), 0,
+                  len(sol.values) - 1)
+    d = u - (sol.u0 + idx * sol.h)
+    y = sol.values[idx]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        k1 = sol.phi.eval_jet(y).f
+        k2 = sol.phi.eval_jet(y + 0.5 * d * k1).f
+        k3 = sol.phi.eval_jet(y + 0.5 * d * k2).f
+        k4 = sol.phi.eval_jet(y + d * k3).f
+    return y + d * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def assert_march_is_the_jet_march(sol, f0):
+    nodes, reason, evals = jet_march(sol.phi, f0, (sol.u0, sol.requested_end),
+                                     sol.h)
+    # RK4 rounding can hide a last-bit change of phi, so compare phi too:
+    # on floats, one at a time and as a batch, it is the jet's f
+    phi, f = sol.phi, sol.values
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert phi.eval_value(f).tobytes() == phi.eval_jet(f).f.tobytes()
+        scalar = np.array([phi.eval_value(x) for x in f[::7]])
+        jet = np.array([phi.eval_jet(float(x)).f for x in f[::7]])
+    assert scalar.tobytes() == jet.tobytes()
+    assert sol.values.tobytes() == nodes.tobytes()
+    assert sol.stopped_reason == reason
+    assert sol.phi_evals == evals
+    u = np.linspace(sol.u0, sol.domain.hi, 41)
+    assert sol.value_at(u).tobytes() == jet_dense_output(sol, u).tobytes()
+
+
+@pytest.mark.parametrize("tag", ["CMC", "ParallelH1", "PNMC2"])
+def test_standard_ode_instances_march_bit_for_bit(tag):
+    surface, spec, _ = standard_instances()[tag]
+    assert_march_is_the_jet_march(surface.profile.ode, spec.params["f0"])
+
+
+def test_cosh_phi_marches_bit_for_bit():
+    f0 = float(np.cosh(0.1))
+    for h in (1e-3, 5e-4):
+        assert_march_is_the_jet_march(
+            integrate_profile(_cosh_phi(), f0, (0.0, 1.0), h), f0)
+
+
+@pytest.mark.parametrize("build, f0, reason", [
+    (lambda: make_cmc(1.0, 1.0, 1.0, 1.0, (0.0, 3.0), 1e-3, branch=(-1, 1)),
+     1.0, "stage left phi domain at u=0.393"),
+    (lambda: make_pnmc2(0.3, -1.5, 0.7, 1.3, (0.0, 5.0), 1e-3, branch=-1),
+     1.3, "phi not finite at stage at u=1.469"),
+], ids=["stage-left-domain", "phi-not-finite"])
+def test_early_stops_match_the_jet_march(build, f0, reason):
+    sol = build().ode
+    assert sol.stopped_reason == reason
+    assert_march_is_the_jet_march(sol, f0)
+
+
+def test_derivative_overflow_matches_the_jet_march():
+    # f' = f^2 from f = 1 blows up at u = 1
+    square = expr_fn(lambda t: t * t, Interval(0.0, math.inf))
+    sol = integrate_profile(square, 1.0, (0.0, 2.0), 1e-3)
+    assert sol.stopped_reason == "derivative overflow at u=1"
+    assert_march_is_the_jet_march(sol, 1.0)
+
+
+_ODE_PROPERTY = settings(max_examples=15, deadline=None)
+_branch = st.sampled_from([1, -1])
+_span = st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 1.0),
+                  st.floats(0.01, 0.05))
+
+
+def _u_range(span):
+    u0, length, h = span
+    return (u0, u0 + length), h
+
+
+@_ODE_PROPERTY
+@given(a=st.floats(0.2, 2.0), kappa=st.floats(0.1, 2.0), neg=st.booleans(),
+       stretch=st.floats(0.01, 3.0), c=st.floats(-3.0, 3.0),
+       branch=st.tuples(_branch, _branch), span=_span)
+def test_cmc_float_march_is_the_jet_march(a, kappa, neg, stretch, c, branch,
+                                          span):
+    f0 = kappa / (2.0 * a) * (1.0 + stretch)
+    u_range, h = _u_range(span)
+    try:
+        p = make_cmc(a, -kappa if neg else kappa, c, f0, u_range, h,
+                     branch=branch)
+    except RadicandNegative:        # G^2 < f0^2: phi(f0) is undefined
+        assume(False)
+    assert_march_is_the_jet_march(p.ode, f0)
+
+
+@_ODE_PROPERTY
+@given(a=st.floats(0.1, 2.0), neg=st.booleans(), c=st.floats(-2.0, 2.0),
+       f0=st.floats(0.1, 3.0), branch=_branch, span=_span)
+def test_parallel_h1_float_march_is_the_jet_march(a, neg, c, f0, branch, span):
+    a = -a if neg else a
+    assume((c + a * f0 * f0) ** 2 - f0 * f0 > 1e-9)
+    u_range, h = _u_range(span)
+    p = make_parallel_H1(a, c, f0, u_range, h, branch=branch)
+    assert_march_is_the_jet_march(p.ode, f0)
+
+
+@_ODE_PROPERTY
+@given(a=st.floats(-2.0, 2.0), c=st.floats(0.1, 3.0), neg=st.booleans(),
+       kappa=st.floats(0.1, 2.0), f0=st.floats(0.1, 3.0), branch=_branch,
+       span=_span)
+def test_pnmc2_float_march_is_the_jet_march(a, c, neg, kappa, f0, branch,
+                                            span):
+    c = -c if neg else c
+    assume(kappa != abs(c) and (c * f0 + a) ** 2 - f0 * f0 > 1e-9)
+    u_range, h = _u_range(span)
+    p = make_pnmc2(a, c, kappa, f0, u_range, h, branch=branch)
+    assert_march_is_the_jet_march(p.ode, f0)
