@@ -511,6 +511,17 @@ def _quiet():
     return np.errstate(invalid="ignore", divide="ignore")
 
 
+def float_value(fn: SmoothFn1, u: float) -> float:
+    """fn's value at a float, unchecked, and NaN where Python's float
+    arithmetic raises ZeroDivisionError (1.0 / (t * t) once t * t
+    underflows): numpy gives inf or NaN there, and the checks on phi
+    read either as not finite."""
+    try:
+        return fn.eval_value(u)
+    except ZeroDivisionError:
+        return math.nan
+
+
 @dataclass(frozen=True)
 class OdeSolution:
     """Solution of f' = phi(f) on a uniform grid, with equation-derived jets.
@@ -635,8 +646,8 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
                       h: float) -> OdeSolution:
     """Integrate f' = phi(f) from f(u_range[0]) = f0 with fixed step h.
 
-    phi is evaluated on floats (:meth:`SmoothFn1.eval_value`); its NaN
-    and division by zero go to the checks below, not to warnings.
+    phi is evaluated on floats (:func:`float_value`); its NaN and
+    division by zero go to the checks below, not to warnings or errors.
     Integration stops early, with a recorded reason, if a stage leaves
     phi's validity interval, produces a non-finite value, or |phi|
     exceeds :data:`DEFAULT_OVERFLOW_BOUND`.  An early stop is an event
@@ -656,7 +667,7 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
         nonlocal evals
         inside(f, "stage")
         evals += 1
-        k = phi.eval_value(f)
+        k = float_value(phi, f)
         if not math.isfinite(k):
             raise _EarlyStop("phi not finite at stage")
         if abs(k) > DEFAULT_OVERFLOW_BOUND:
@@ -664,7 +675,7 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
         return k
 
     with _quiet():
-        if not np.isfinite(phi.eval_value(f0)):
+        if not np.isfinite(float_value(phi, f0)):
             raise InvalidInitialState(f"phi(f0) is not finite at f0={f0}")
         values, stopped = _march(slope, u0, float(f0), h, n_steps,
                                  lambda f: inside(f, "state"))

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffkit import Interval, Jet3, SmoothFn1, expr_fn, integrate_profile, log, sqrt
+from .diffkit import (Interval, Jet3, SmoothFn1, expr_fn, float_value,
+                      integrate_profile, log, sqrt)
 from .errors import EmptyInterval, NonpositiveProfile, ParameterConflict, RadicandNegative
 from .geometry import (
     MeridianProfile,
@@ -175,7 +176,7 @@ def make_pnmc1(a: float, b: float, c: float = 0.0,
 def _ode_profile(phi: SmoothFn1, f0: float, interval: tuple, h: float,
                  sign_g: int, name: str) -> MeridianProfile:
     with np.errstate(invalid="ignore", divide="ignore"):
-        p0 = phi.eval_value(f0)
+        p0 = float_value(phi, f0)
     if not np.isfinite(p0):
         raise RadicandNegative(f"{name}: phi(f0) undefined at f0={f0}")
     sol = integrate_profile(phi, f0, interval, h)

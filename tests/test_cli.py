@@ -266,18 +266,30 @@ def test_selfcheck_passes(capsys):
     assert out.count("[PASS]") == 10
 
 
-def test_selfcheck_does_not_import_numpy_ma():
-    # np.median's NaN check imports numpy.ma, about 20 ms per process;
-    # a fresh process, since this one may have imported it already
+def _imports_numpy_ma(argv) -> bool:
+    """Whether a fresh CLI process running argv imports numpy.ma; a fresh
+    process, since this one may have imported it already."""
     code = ("import sys; from meridian4.cli import main; "
-            "assert main(['selfcheck']) == 0; print('numpy.ma' in sys.modules)")
+            f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
     path = [str(Path(__file__).resolve().parent.parent / "src"),
             os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_selfcheck_does_not_import_numpy_ma():
+    # np.median's NaN check imports numpy.ma, about 20 ms per process
+    assert not _imports_numpy_ma(["selfcheck"])
+
+
+def test_generate_does_not_import_numpy_ma(cmc_cfg, tmp_path):
+    # the writers find distinct values without np.unique, which imports
+    # numpy.ma (about 1 MiB of module data)
+    assert not _imports_numpy_ma(["generate", "--config", cmc_cfg,
+                                  "--out", str(tmp_path / "o")])
 
 
 def test_thread_cap_env(monkeypatch, flat_cfg, tmp_path):
@@ -404,6 +416,20 @@ def test_nonfinite_geometry_is_numeric_failure(command, update, cmc_cfg,
     assert not (tmp_path / "o" / "surface.csv").exists()
 
 
+def test_extreme_ode_parameters_are_a_numeric_failure(cmc_cfg, tmp_path,
+                                                      capsys):
+    # t * t underflows to 0.0 at f0, and Python floats raise on 1.0 / 0.0
+    cfg = json.loads(open(cmc_cfg).read())
+    cfg["family"].update(a=1e100, kappa=1e-200, c=1, f0=1e-170)
+    bad = write_cfg(tmp_path / "extreme.json", cfg)
+    assert main(["generate", "--config", bad,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric/domain failure:") and "phi(f0)" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- writers
 # The per-cell csv.writer / f-string writers that the block writers in
 # meridian4.cli replaced, kept as their byte-level reference.
@@ -450,12 +476,14 @@ def _ref_write_obj(path, sweep):
 
 
 def _ref_grid_json(sweep, echo):
+    """JSON rows of the 14 numeric columns, non-finite values as null."""
     nu, nv = sweep["E"].shape
     rows = [[float(sweep[k][i, j]) for k in ("U", "V")]
             + [float(c) for c in sweep["z"][i, j]]
             + [float(sweep[k][i, j]) for k in
                ("E", "F", "G", "K", "Kperp", "h1", "h2", "Hnormsq")]
             for i in range(nu) for j in range(nv)]
+    rows = [[x if np.isfinite(x) else None for x in r] for r in rows]
     return json.dumps({"config": echo, "columns": cli.CSV_COLUMNS[:14],
                        "rows": rows})
 
@@ -529,6 +557,35 @@ def test_writers_match_reference_bytes(name, block_rows, tmp_path,
         cells = ref_csv.decode().split("\r\n")[1].split(",")
         assert "-0" in cells and "lightlike" in cells
         assert any("e-" in c for c in cells)
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_distinct_value_path_matches_reference_bytes(block_rows, tmp_path,
+                                                     monkeypatch):
+    # x4 and K: six distinct values mixing signed zeros, NaN and +-inf,
+    # formatted once each; x1 and Kperp: every value distinct, through
+    # the row template
+    if block_rows:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    surface, _, grid = cli._build_surface(GOLDEN["cmc-12x13"])
+    sweep = {k: np.array(a) for k, a in cli._sweep(surface, grid).items()}
+    shape = sweep["E"].shape
+    few = np.resize([0.0, -0.0, np.nan, np.inf, -np.inf, 2.5], shape)
+    every = np.arange(few.size).reshape(shape) * -0.37 + 1e-9
+    sweep["z"][..., 3] = sweep["K"] = few
+    sweep["z"][..., 0] = sweep["Kperp"] = every
+    assert cli._Distinct.of(np.ravel(few), "%.12g") is not None
+    assert cli._Distinct.of(np.ravel(every), "%.12g") is None
+
+    for write, ref in ((cli._write_csv, _ref_write_csv),
+                       (cli._write_obj, _ref_write_obj)):
+        write(tmp_path / "got", sweep)
+        ref(tmp_path / "ref", sweep)
+        got = (tmp_path / "got").read_bytes()
+        assert got == (tmp_path / "ref").read_bytes()
+        assert b"-0," in got or b" -0 " in got
+    cli._write_grid_json(tmp_path / "s.json", sweep, {})
+    assert (tmp_path / "s.json").read_text() == _ref_grid_json(sweep, {})
 
 
 @pytest.mark.parametrize("block_rows", [None, 7])

@@ -387,6 +387,17 @@ def test_ode_invalid_initial_state():
         integrate_profile(cosh_phi(), 0.5, (0.0, 1.0), 1e-2)
 
 
+def test_float_division_by_zero_in_phi_is_not_finite():
+    # Python floats raise where numpy gives inf; the march reads both as a
+    # non-finite phi.  From f0 = 1 the step h = 2 puts stage 2 at t = 2.
+    pole = expr_fn(lambda t: 1.0 / (2.0 - t), Interval(0.0, 3.0))
+    sol = integrate_profile(pole, 1.0, (0.0, 2.0), 2.0)
+    assert sol.stopped_reason == "phi not finite at stage at u=0"
+    assert sol.steps == 0 and sol.phi_evals == 3
+    with pytest.raises(InvalidInitialState):
+        integrate_profile(pole, 2.0, (0.0, 1.0), 1e-2)
+
+
 def test_ode_rejects_bad_step():
     with pytest.raises(StepSizeNonpositive):
         integrate_profile(cosh_phi(), 2.0, (0.0, 1.0), 0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from meridian4 import (
     CausalClass,
@@ -42,6 +43,49 @@ def test_inner_product_bilinear(a, b, c, alpha):
     terms = (abs(alpha) * sum(abs(x * z) for x, z in zip(a, c))
              + sum(abs(y * z) for y, z in zip(b, c)))
     assert abs(lhs - rhs) <= 16 * np.finfo(float).eps * terms + 2.0 ** -1070
+
+
+# components that stress the summation order: signed zeros, infinities,
+# NaN, subnormals, and magnitudes far apart
+_EDGE = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300,
+         -1e300, 1e-300, 1.0, -1.0, 3.0]
+_component = st.one_of(st.sampled_from(_EDGE), st.floats(width=64))
+
+
+def _batch(shape):
+    return hnp.arrays(np.float64, shape + (4,), elements=_component)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two (..., 4) operands of broadcasting leading shapes, each maybe a
+    Vec4M view."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                    max_side=4))
+    a, b = (draw(_batch(s)) for s in shapes.input_shapes)
+    return [Vec4M.from_array(x) if draw(st.booleans()) else x for x in (a, b)]
+
+
+def _same_bits(x, y):
+    """Equal bit for bit, NaN positions matched (NaN payloads may differ)."""
+    x, y = np.asarray(x), np.asarray(y)
+    nan = np.isnan(x)
+    return (x.shape == y.shape and np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.int64), y[~nan].view(np.int64)))
+
+
+@given(_operand_pairs())
+@example([np.array([-0.0, -0.0, -0.0, 0.0]), np.ones(4)])
+@example([np.array([1e16, 1.0, -1e16, -1.0]), np.ones(4)])
+def test_inner_product_is_the_signed_np_sum(pair):
+    a, b = pair
+    arrays = [x.as_array() if isinstance(x, Vec4M) else x for x in pair]
+    with np.errstate(all="ignore"):
+        got = minkowski_inner(a, b)
+        want = np.sum(arrays[0] * arrays[1] * np.array([1.0, 1.0, 1.0, -1.0]),
+                      axis=-1)
+    assert _same_bits(got, want)
+    assert type(got) is type(want)      # one vector gives a numpy scalar
 
 
 @pytest.mark.parametrize("v, expected", [
