@@ -187,7 +187,8 @@ def _sweep(surface: MeridianSurface, grid: Grid2) -> dict:
     sample = surface._raw(U, V)
     E, F, G = sample.first_form()
     # The curvatures go through the public methods, whose calls the
-    # benchmark traces; each builds only the arrays it reads.
+    # benchmark traces; their inner products run on the factored fields,
+    # so of the (nu, nv, 4) arrays only z is built, for the writers.
     k = surface.gauss_curvature(U, V)
     kperp = surface.normal_curvature(U, V)
     mc = surface.mean_curvature(U, V)

@@ -19,9 +19,18 @@ arrays with a trailing axis of length 4 in the basis (e1, e2, e3, e4).
 
 Each :class:`MeridianSurface` call evaluates the profile jets and the
 directrix once, as a :class:`SurfaceSample`, and derives its result
-from that sample.  The sample builds each ambient array (a partial of
-z, a frame field, a partial of a frame field) when it is first read,
-so a call pays only for the arrays its quantity needs.
+from that sample.  Every ambient field the sample knows (a partial of
+z, a frame field, a partial of a frame field) has the form
+alpha(u) P(v) + beta(u) e4, with P a directrix vector whose e4
+component is 0, and is defined once by that triple.  Inner products
+split exactly,
+
+    <alpha P + beta e4, alpha' P' + beta' e4> = alpha alpha' <P, P'> - beta beta',
+
+so the invariants take :func:`minkowski_inner` over the directrix arrays
+only and combine it with the profile jets: a grid of nu x nv points
+costs them no (nu, nv, 4) array.  The (..., 4) arrays themselves are
+built from the same triples when first read, and kept.
 
 Surfaces and curves are immutable after construction; every evaluation
 is pure, so grid sweeps may be parallelized freely.
@@ -394,72 +403,126 @@ class InvariantReport:
     causal_z_v: CausalClass
 
 
-def _z_partial(i: int, j: int) -> cached_property:
-    """Lazy i-th u-, j-th v-partial of z = f l + g e4 on a sample:
+class _Factor(NamedTuple):
+    """The ambient field alpha(u) P(v) + beta(u) e4 of a sample.
+
+    alpha and beta broadcast over u; P is a directrix (..., 4) array over
+    v whose e4 component is 0, so inner products split (see _inner).
+    """
+
+    alpha: np.ndarray | float
+    P: np.ndarray
+    beta: np.ndarray | float
+
+    def ambient(self) -> np.ndarray:
+        return _scale(self.alpha, self.P) + _scale(self.beta, _E4)
+
+
+def _inner(a: _Factor, b: _Factor):
+    """<a, b> of two factored fields: alpha_a alpha_b <P_a, P_b> - beta_a beta_b,
+    with :func:`minkowski_inner` taken over the directrix arrays only."""
+    return (a.alpha * b.alpha) * minkowski_inner(a.P, b.P) - a.beta * b.beta
+
+
+def _z_factor(i: int, j: int):
+    """The i-th u-, j-th v-partial of z = f l + g e4:
     f^(i) l^(j), plus g^(i) e4 when j = 0."""
-    def build(s):
-        part = _scale(s.f.derivatives()[i], s.curve[j])
-        return part + _scale(s.g.derivatives()[i], _E4) if j == 0 else part
-    return cached_property(build)
+    return lambda s: (s.f.derivatives()[i], s.curve[j],
+                      s.g.derivatives()[i] if j == 0 else 0.0)
+
+
+#: Every ambient field: the (alpha, P, beta) it takes on a sample.
+_FACTORS = {
+    # z and its partials up to order 3; only evaluate reads the third ones
+    "z": _z_factor(0, 0), "z_u": _z_factor(1, 0), "z_v": _z_factor(0, 1),
+    "z_uu": _z_factor(2, 0), "z_uv": _z_factor(1, 1), "z_vv": _z_factor(0, 2),
+    "z_uuu": _z_factor(3, 0), "z_uuv": _z_factor(2, 1),
+    "z_uvv": _z_factor(1, 2), "z_vvv": _z_factor(0, 3),
+    # the frame X = z_u, Y = l', N1 = l x l', N2 = g' l + f' e4 and its
+    # partials; N1 does not depend on u
+    "Y": lambda s: (1.0, s.curve.t, 0.0),
+    "N1": lambda s: (1.0, s.curve.n, 0.0),
+    "N2": lambda s: (s.g.d1, s.curve.l, s.f.d1),
+    "dN1_u": lambda s: (0.0, s.curve.n, 0.0),
+    "dN1_v": lambda s: (1.0, s.curve.nprime, 0.0),
+    "dN2_u": lambda s: (s.g.d2, s.curve.l, s.f.d2),
+    "dN2_v": lambda s: (s.g.d1, s.curve.t, 0.0),
+}
+
+
+def _ambient(name: str) -> cached_property:
+    """Lazy (..., 4) array of the field ``name`` of a sample."""
+    return cached_property(lambda s: s._factors[name].ambient())
+
+
+def _pair(a: tuple, b: tuple, gram: tuple):
+    """<a1 N1 + a2 N2, b1 N1 + b2 N2> from the Gram entries
+    (<N1,N1>, <N1,N2>, <N2,N2>)."""
+    g11, g12, g22 = gram
+    return (a[0] * b[0] * g11 + (a[0] * b[1] + a[1] * b[0]) * g12
+            + a[1] * b[1] * g22)
 
 
 @dataclass(frozen=True, eq=False)
 class SurfaceSample:
     """The surface evaluated once at broadcastable (u, v).
 
-    Holds the profile jets and the directrix data.  Each ambient array,
-    shape (..., 4), is built when first read and then kept, and every
-    invariant below is derived from these arrays: the partials of z, the
-    frame X = z_u, Y = l', N1 = l x l', N2 = g' l + f' e4, and the
-    frame's partials.
+    Holds the profile jets and the directrix data.  Each ambient field
+    (z and its partials, the frame X = z_u, Y = l', N1 = l x l',
+    N2 = g' l + f' e4, and the frame's partials) is defined once, in
+    ``_FACTORS``, as alpha(u) P(v) + beta(u) e4.  The invariants take
+    inner products of these factors with :func:`_inner`, over the
+    directrix arrays, so no (..., 4) array of the whole batch is built
+    for them; the (..., 4) arrays themselves are built from the same
+    factors when first read (by evaluate, frame and the lightlike
+    frame), and then kept.
     """
 
     f: Jet3
     g: Jet3
     curve: CurveData
 
-    # z and its partials up to order 3; only evaluate reads the third ones
-    z, z_u, z_v = _z_partial(0, 0), _z_partial(1, 0), _z_partial(0, 1)
-    z_uu, z_uv, z_vv = _z_partial(2, 0), _z_partial(1, 1), _z_partial(0, 2)
-    z_uuu, z_uuv = _z_partial(3, 0), _z_partial(2, 1)
-    z_uvv, z_vvv = _z_partial(1, 2), _z_partial(0, 3)
+    _factors = cached_property(
+        lambda s: {k: _Factor(*build(s)) for k, build in _FACTORS.items()})
 
-    # the frame and its partials; N1 does not depend on u
+    z, z_u, z_v = _ambient("z"), _ambient("z_u"), _ambient("z_v")
+    z_uu, z_uv, z_vv = _ambient("z_uu"), _ambient("z_uv"), _ambient("z_vv")
+    z_uuu, z_uuv = _ambient("z_uuu"), _ambient("z_uuv")
+    z_uvv, z_vvv = _ambient("z_uvv"), _ambient("z_vvv")
     X = property(lambda s: s.z_u)
-    Y = property(lambda s: s.curve.t)
-    N1 = property(lambda s: s.curve.n)
-    N2 = cached_property(
-        lambda s: _scale(s.g.d1, s.curve.l) + _scale(s.f.d1, _E4))
-    dN1_u = cached_property(lambda s: np.zeros_like(s.N1))
-    dN1_v = property(lambda s: s.curve.nprime)
-    dN2_u = cached_property(
-        lambda s: _scale(s.g.d2, s.curve.l) + _scale(s.f.d2, _E4))
-    dN2_v = cached_property(lambda s: _scale(s.g.d1, s.curve.t))
+    Y, N1, N2 = _ambient("Y"), _ambient("N1"), _ambient("N2")
+    dN1_u, dN1_v = _ambient("dN1_u"), _ambient("dN1_v")
+    dN2_u, dN2_v = _ambient("dN2_u"), _ambient("dN2_v")
 
     # -- invariants --------------------------------------------------------
     def first_form(self) -> tuple:
-        """(E, F, G) measured from the ambient jets, not from closed forms."""
-        E = minkowski_inner(self.z_u, self.z_u)
-        F = minkowski_inner(self.z_u, self.z_v)
-        G = minkowski_inner(self.z_v, self.z_v)
-        return E, F, G
+        """(E, F, G) from the directrix's measured Gram entries and the
+        profile jets, not from closed forms."""
+        fa = self._factors
+        return (_inner(fa["z_u"], fa["z_u"]), _inner(fa["z_u"], fa["z_v"]),
+                _inner(fa["z_v"], fa["z_v"]))
 
     def gauss_curvature(self) -> GaussCurvature:
         """K from the defining formula via the frame and the second
-        derivatives of z, and from the closed form f''/f."""
-        f = self.f.f
-        X, Y, N1, N2 = self.X, self.Y, self.N1, self.N2
+        derivatives of z, and from the closed form f''/f.
+
+        The normal parts s_xx, s_xy, s_yy of z_uu, z_uv / f and z_vv / f^2
+        are kept as their (N1, N2) coefficient pairs, and their inner
+        products are taken through the measured Gram entries of (N1, N2).
+        """
+        f, fa = self.f.f, self._factors
+        N1, N2 = fa["N1"], fa["N2"]
+        gram = _inner(N1, N1), _inner(N1, N2), _inner(N2, N2)
 
         def normal_part(w):
-            return (minkowski_inner(w, N1)[..., None] * N1
-                    + minkowski_inner(w, N2)[..., None] * N2)
+            return _inner(w, N1), _inner(w, N2)
 
-        s_xx = normal_part(self.z_uu)
-        s_xy = normal_part(_scale(1.0 / f, self.z_uv))
-        s_yy = normal_part(_scale(1.0 / f ** 2, self.z_vv))
-        num = minkowski_inner(s_xx, s_yy) - minkowski_inner(s_xy, s_xy)
-        den = (minkowski_inner(X, X) * minkowski_inner(Y, Y)
-               - minkowski_inner(X, Y) ** 2)
+        s_xx = normal_part(fa["z_uu"])
+        s_xy = tuple(c / f for c in normal_part(fa["z_uv"]))
+        s_yy = tuple(c / f ** 2 for c in normal_part(fa["z_vv"]))
+        num = _pair(s_xx, s_yy, gram) - _pair(s_xy, s_xy, gram)
+        X, Y = fa["z_u"], fa["Y"]
+        den = _inner(X, X) * _inner(Y, Y) - _inner(X, Y) ** 2
         return GaussCurvature(frame_route=num / den,
                               profile_route=self.f.d2 / f)
 
@@ -471,12 +534,11 @@ class SurfaceSample:
         d_u b_v - d_v b_u, and the invariant normalizes by the frame:
         K_perp = -(d_u b_v - d_v b_u) / f.
         """
-        N2 = self.N2
-        dN1_uv = self.dN1_u        # d_u N1 = 0, so d_v d_u N1 = 0 too
-        du_bv = (minkowski_inner(dN1_uv, N2)
-                 + minkowski_inner(self.dN1_v, self.dN2_u))
-        dv_bu = (minkowski_inner(dN1_uv, N2)
-                 + minkowski_inner(self.dN1_u, self.dN2_v))
+        fa = self._factors
+        N2 = fa["N2"]
+        dN1_uv = fa["dN1_u"]       # d_u N1 = 0, so d_v d_u N1 = 0 too
+        du_bv = _inner(dN1_uv, N2) + _inner(fa["dN1_v"], fa["dN2_u"])
+        dv_bu = _inner(dN1_uv, N2) + _inner(fa["dN1_u"], fa["dN2_v"])
         return -(du_bv - dv_bu) / self.f.f
 
     def h_closed(self) -> tuple:
@@ -492,11 +554,12 @@ class SurfaceSample:
         normal projections of the second derivatives."""
         E, F, G = self.first_form()
         det = E * G - F ** 2
+        fa = self._factors
         jet_route = []
-        for N in (self.N1, self.N2):
-            s_uu = minkowski_inner(self.z_uu, N)
-            s_uv = minkowski_inner(self.z_uv, N)
-            s_vv = minkowski_inner(self.z_vv, N)
+        for N in (fa["N1"], fa["N2"]):
+            s_uu = _inner(fa["z_uu"], N)
+            s_uv = _inner(fa["z_uv"], N)
+            s_vv = _inner(fa["z_vv"], N)
             jet_route.append((G * s_uu - 2.0 * F * s_uv + E * s_vv) / (2.0 * det))
         return MeanCurvature(*self.h_closed(), *jet_route)
 
@@ -525,14 +588,17 @@ class SurfaceSample:
         norm = (h1 * h1 + h2 * h2).sqrt()
         return h1 / norm, h2 / norm
 
+    def _connection(self) -> tuple:
+        """Normal-connection coefficients (b_u, b_v), b_w = <d_w N1, N2>."""
+        fa = self._factors
+        return (_inner(fa["dN1_u"], fa["N2"]), _inner(fa["dN1_v"], fa["N2"]))
+
     def _normal_derivative(self, jets) -> tuple:
         """(D_X, D_Y) of the normal field whose (N1, N2) components
         ``jets(seed)`` gives, each as (N1, N2) components."""
         au, bu = jets("u")
         av, bv = jets("v")
-        # normal-connection coefficients b_w = <d_w N1, N2>
-        b_u = minkowski_inner(self.dN1_u, self.N2)
-        b_v = minkowski_inner(self.dN1_v, self.N2)
+        b_u, b_v = self._connection()
         f = self.f.f
         dx = (au.d1 - bu.f * b_u, bu.d1 + au.f * b_u)
         dy = ((av.d1 - bv.f * b_v) / f, (bv.d1 + av.f * b_v) / f)

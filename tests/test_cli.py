@@ -392,6 +392,22 @@ def test_oversized_work_is_refused_up_front(edit, code, message, cmc_cfg,
     assert not (tmp_path / "o" / "surface.csv").exists()
 
 
+
+def test_sweep_builds_no_ambient_arrays_of_the_grid(cmc_cfg):
+    # the invariants take inner products of factored fields, so the sweep
+    # holds its output columns, z and a few grid-sized temporaries; an
+    # invariant that built (nu, nv, 4) fields would read about 50 grids
+    cfg = json.loads(open(cmc_cfg).read())
+    cfg["grid"].update(nu=200, nv=200)
+    surface, _, grid = cli._build_surface(cfg)
+    tracemalloc.start()
+    try:
+        cli._sweep(surface, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * grid.nu * grid.nv * 8
+
 NONFINITE_GEOMETRY = [
     ("generate", {"directrix": {"kind": "latitude", "kappa": float("inf")}}),
     ("generate", {"directrix": {"kind": "curvature",

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -492,3 +493,85 @@ def test_batch_records_match_per_point_calls(tag, points):
                           for name, vec in labeled], gram).max_deviation
             for i in range(len(us))]
         assert verify_frame(labeled, gram).max_deviation == max(per_point)
+
+
+# ------------------------------------------- factored against ambient route
+def _ambient_invariants(s):
+    """Each invariant by its formula, with minkowski_inner applied to the
+    materialized (..., 4) arrays of the sample; with the size of the terms
+    that K's value cancels from."""
+    ip = minkowski_inner
+    f = np.asarray(s.f.f)
+    E, F, G = ip(s.z_u, s.z_u), ip(s.z_u, s.z_v), ip(s.z_v, s.z_v)
+
+    def normal_part(w):
+        return ip(w, s.N1)[..., None] * s.N1 + ip(w, s.N2)[..., None] * s.N2
+
+    s_xx = normal_part(s.z_uu)
+    s_xy = normal_part(s.z_uv / f[..., None])
+    s_yy = normal_part(s.z_vv / (f ** 2)[..., None])
+    terms = ip(s_xx, s_yy), ip(s_xy, s_xy)
+    den = ip(s.X, s.X) * ip(s.Y, s.Y) - ip(s.X, s.Y) ** 2
+    du_bv = ip(s.dN1_u, s.N2) + ip(s.dN1_v, s.dN2_u)
+    dv_bu = ip(s.dN1_u, s.N2) + ip(s.dN1_u, s.dN2_v)
+    det = E * G - F ** 2
+    h_jet = [(G * ip(s.z_uu, N) - 2.0 * F * ip(s.z_uv, N)
+              + E * ip(s.z_vv, N)) / (2.0 * det) for N in (s.N1, s.N2)]
+    want = {"E": E, "F": F, "G": G, "K": (terms[0] - terms[1]) / den,
+            "K_perp": -(du_bv - dv_bu) / f, "h1_jet": h_jet[0],
+            "h2_jet": h_jet[1], "b_u": ip(s.dN1_u, s.N2),
+            "b_v": ip(s.dN1_v, s.N2)}
+    return want, (np.abs(terms[0]) + np.abs(terms[1])) / np.abs(den)
+
+
+def _factored_invariants(s):
+    E, F, G = s.first_form()
+    mc = s.mean_curvature()
+    b_u, b_v = s._connection()
+    return {"E": E, "F": F, "G": G, "K": s.gauss_curvature().frame_route,
+            "K_perp": s.normal_curvature(), "h1_jet": mc.h1_jet,
+            "h2_jet": mc.h2_jet, "b_u": b_u, "b_v": b_v}
+
+
+@functools.lru_cache(maxsize=None)
+def _route_surfaces() -> dict:
+    """The standard instances, and two of their profiles on a directrix
+    with geodesic curvature 2 + sin v; each with its (u, v) ranges."""
+    out = {tag: (surface, (grid.u_min, grid.u_max), (grid.v_min, grid.v_max))
+           for tag, (surface, _, grid) in standard_instances().items()}
+    curve = curve_from_curvature(sin_offset_fn(2.0), (0.0, 2 * np.pi), h=1e-3)
+    for tag in ("CMC", "PNMC1"):
+        surface, u_range, _ = out[tag]
+        out[tag + "/2+sin"] = (
+            MeridianSurface(profile=surface.profile, directrix=curve),
+            u_range, (0.0, 2 * np.pi))
+    return out
+
+
+_POINTS = st.floats(0.0, 1.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(name=st.sampled_from(sorted(["CMC/2+sin", "PNMC1/2+sin", *TAGS])),
+       layout=st.sampled_from(["scattered", "point", "grid"]),
+       s=st.lists(_POINTS, min_size=1, max_size=5),
+       t=st.lists(_POINTS, min_size=1, max_size=5))
+def test_factored_invariants_match_ambient_route(name, layout, s, t):
+    surface, (u0, u1), (v0, v1) = _route_surfaces()[name]
+    us = u0 + np.array(s) * (u1 - u0)
+    vs = v0 + np.array(t) * (v1 - v0)
+    if layout == "scattered":
+        n = min(len(us), len(vs))
+        u, v = us[:n], vs[:n]
+    elif layout == "point":
+        u, v = float(us[0]), float(vs[0])
+    else:
+        u, v = us[:, None], vs[None, :]
+    sample = surface._raw(u, v)
+    got = _factored_invariants(sample)
+    want, k_terms = _ambient_invariants(sample)
+    for key, ref in want.items():
+        scale = 1.0 + np.abs(ref) + (k_terms if key == "K" else 0.0)
+        gap = np.abs(got[key] - ref)
+        assert np.shape(gap) == np.broadcast_shapes(np.shape(u), np.shape(v))
+        assert np.all(gap <= 1e-12 * scale), (key, np.max(gap / scale))
