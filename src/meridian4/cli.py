@@ -382,6 +382,8 @@ def cmd_verify(cfg: dict, out_dir: Path | None, tol: float) -> int:
 
 
 def cmd_geomfuncs(cfg: dict, out_dir: Path, fmt: str) -> int:
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown geomfuncs format {fmt!r}")
     surface, spec, grid = _build_surface(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     U, V = grid.mesh()
@@ -395,7 +397,7 @@ def cmd_geomfuncs(cfg: dict, out_dir: Path, fmt: str) -> int:
         with open(out_dir / "geomfuncs.csv", "w", newline="") as fh:
             fh.write(",".join(GEOMFUNC_COLUMNS) + "\r\n")
             fh.writelines(_row_blocks(_csv_template(len(cols)), cols))
-    print(str(out_dir / f"geomfuncs.{'json' if fmt == 'json' else 'csv'}"))
+    print(str(out_dir / f"geomfuncs.{fmt}"))
     return 0
 
 

@@ -29,8 +29,9 @@ split exactly,
 
 so the invariants take :func:`minkowski_inner` over the directrix arrays
 only and combine it with the profile jets: a grid of nu x nv points
-costs them no (nu, nv, 4) array.  The (..., 4) arrays themselves are
-built from the same triples when first read, and kept.
+costs them no (nu, nv, 4) array, and neither do the lightlike-frame
+functions of ``natural_pde``.  The (..., 4) arrays themselves are built
+from the same triples when first read, and kept.
 
 Surfaces and curves are immutable after construction; every evaluation
 is pure, so grid sweeps may be parallelized freely.
@@ -439,8 +440,9 @@ _FACTORS = {
     "z_uuu": _z_factor(3, 0), "z_uuv": _z_factor(2, 1),
     "z_uvv": _z_factor(1, 2), "z_vvv": _z_factor(0, 3),
     # the frame X = z_u, Y = l', N1 = l x l', N2 = g' l + f' e4 and its
-    # partials; N1 does not depend on u
+    # partials; Y and N1 do not depend on u
     "Y": lambda s: (1.0, s.curve.t, 0.0),
+    "dY_v": lambda s: (1.0, s.curve.tp, 0.0),
     "N1": lambda s: (1.0, s.curve.n, 0.0),
     "N2": lambda s: (s.g.d1, s.curve.l, s.f.d1),
     "dN1_u": lambda s: (0.0, s.curve.n, 0.0),
@@ -474,8 +476,8 @@ class SurfaceSample:
     inner products of these factors with :func:`_inner`, over the
     directrix arrays, so no (..., 4) array of the whole batch is built
     for them; the (..., 4) arrays themselves are built from the same
-    factors when first read (by evaluate, frame and the lightlike
-    frame), and then kept.
+    factors when first read, and then kept.  Of the lightlike frame,
+    only ``natural_pde.isotropic_frame`` builds (..., 4) arrays.
     """
 
     f: Jet3
@@ -583,10 +585,13 @@ class SurfaceSample:
         return h1, h2
 
     def h0_jets(self, seed: str) -> tuple:
-        """Components of H0 = H / ||H|| as first-order jets, like h_jets."""
+        """Components (alpha, beta) of H0 = H / ||H|| as first-order jets, like
+        h_jets: H0 = (cos t, sin t), d alpha = -beta dt, d beta = alpha dt."""
         h1, h2 = self.h_jets(seed)
-        norm = (h1 * h1 + h2 * h2).sqrt()
-        return h1 / norm, h2 / norm
+        norm = np.sqrt(h1.f * h1.f + h2.f * h2.f)
+        alpha, beta = h1.f / norm, h2.f / norm
+        dtheta = (alpha * h2.d1 - beta * h1.d1) / norm
+        return Jet3(alpha, -beta * dtheta), Jet3(beta, alpha * dtheta)
 
     def _connection(self) -> tuple:
         """Normal-connection coefficients (b_u, b_v), b_w = <d_w N1, N2>."""

@@ -12,8 +12,11 @@ frame itself produces nine scalar functions
 
 whose integrability conditions are the natural PDE systems verified
 here.  The numeric route below extracts the functions by pairing
-directional derivatives of the frame fields; closed forms exist for the
-two parallel-unit-H families and must agree with it.
+directional derivatives of the frame fields, each a combination of the
+factored fields of ``geometry``, over scalar grids: it builds no
+(nu, nv, 4) array, and only :func:`isotropic_frame` makes the frame
+ambient.  Closed forms exist for the two parallel-unit-H families and
+must agree with it.
 
 A candidate solution is a triple of :class:`ScalarField2` fields.  Each
 field is one callable returning a :class:`Partials2` (value and partials
@@ -46,9 +49,9 @@ import numpy as np
 from .diffkit import CumulativeQuadrature, Jet3, SmoothFn1, constant_fn
 from .errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
                      MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict)
-from .geometry import MeridianSurface, _scale
+from .geometry import MeridianSurface, _inner, _scale
 from .grids import Grid2, json_safe
-from .minkowski import Vec4M, minkowski_inner
+from .minkowski import Vec4M
 
 __all__ = [
     "GeometricFunctions",
@@ -117,107 +120,92 @@ class IsotropicFrame:
 
 
 # ---------------------------------------------------------------------------
-# frame fields with first derivatives
+# the frame as combinations of the factored fields
 # ---------------------------------------------------------------------------
 
 def _frame_fields(surface: MeridianSurface, u, v, tol: float):
-    """All frame fields and their ambient (u, v)-partials at the points.
+    """The sample at the points, and the frame x, y, n1, n2 with its
+    (u, v)-partials, each a tuple of terms (c, name) meaning sum c F_name
+    over the sample's factored fields (``geometry._FACTORS``).
 
-    Returns a dict of (value, d_u, d_v) triples of (..., 4) arrays for
-    x, y, n1, n2, plus profile scalars.  Raises :class:`MinimalPoint`
-    when <H,H> <= tol anywhere in the batch.
+    Returns (sample, {name: (value, d_u, d_v)}).  Raises
+    :class:`MinimalPoint` when <H,H> <= tol anywhere in the batch.
     """
     s = surface._raw(u, v)
     h1, h2 = s.h_closed()
     if np.any(h1 ** 2 + h2 ** 2 <= tol):
         raise MinimalPoint("frame undefined where H vanishes")
+    r = 1.0 / _SQRT2
 
-    # X = z_u and Y = l' (a function of v alone)
-    X, dX_u, dX_v = s.X, s.z_uu, s.z_uv
-    Y, dY_u, dY_v = s.Y, np.zeros_like(s.Y), s.curve.tp
+    def tangent(sign):
+        """(X + sign Y) / sqrt(2), with X = z_u and Y = l' (d_u Y = 0)."""
+        return (((r, "z_u"), (sign * r, "Y")), ((r, "z_uu"),),
+                ((r, "z_uv"), (sign * r, "dY_v")))
 
-    x = (X + Y) / _SQRT2
-    dx_u = (dX_u + dY_u) / _SQRT2
-    dx_v = (dX_v + dY_v) / _SQRT2
-    y = (X - Y) / _SQRT2
-    dy_u = (dX_u - dY_u) / _SQRT2
-    dy_v = (dX_v - dY_v) / _SQRT2
-
-    N1, dN1_u, dN1_v = s.N1, s.dN1_u, s.dN1_v
-    N2, dN2_u, dN2_v = s.N2, s.dN2_u, s.dN2_v
+    def normal(pu, qu, pv, qv):
+        """p N1 + q N2, for p and q as first-order jets in u and in v
+        (d_u N1 = 0)."""
+        return (((pu.f, "N1"), (qu.f, "N2")),
+                ((pu.d1, "N1"), (qu.d1, "N2"), (qu.f, "dN2_u")),
+                ((pv.d1, "N1"), (pv.f, "dN1_v"), (qv.d1, "N2"), (qv.f, "dN2_v")))
 
     au, bu = s.h0_jets("u")   # alpha = h1/||H||, beta = h2/||H||
     av, bv = s.h0_jets("v")
-    alpha, beta = au.f, bu.f
-
-    n1 = _scale(alpha, N1) + _scale(beta, N2)
-    dn1_u = (_scale(au.d1, N1) + _scale(alpha, dN1_u)
-             + _scale(bu.d1, N2) + _scale(beta, dN2_u))
-    dn1_v = (_scale(av.d1, N1) + _scale(alpha, dN1_v)
-             + _scale(bv.d1, N2) + _scale(beta, dN2_v))
-    n2 = _scale(-beta, N1) + _scale(alpha, N2)
-    dn2_u = (_scale(-bu.d1, N1) + _scale(-beta, dN1_u)
-             + _scale(au.d1, N2) + _scale(alpha, dN2_u))
-    dn2_v = (_scale(-bv.d1, N1) + _scale(-beta, dN1_v)
-             + _scale(av.d1, N2) + _scale(alpha, dN2_v))
-
-    return {
-        "f": s.f.f,
-        "x": (x, dx_u, dx_v), "y": (y, dy_u, dy_v),
-        "n1": (n1, dn1_u, dn1_v), "n2": (n2, dn2_u, dn2_v),
-    }
+    return s, {"x": tangent(1.0), "y": tangent(-1.0),
+               "n1": normal(au, bu, av, bv), "n2": normal(-bu, au, -bv, av)}
 
 
 def isotropic_frame(surface: MeridianSurface, u, v,
                     tol: float = MINIMAL_TOL) -> IsotropicFrame:
-    """The frame {x, y, n1, n2} at (u, v); n1 is parallel to H."""
-    ff = _frame_fields(surface, u, v, tol)
-    pick = lambda k: Vec4M.from_array(ff[k][0])
-    return IsotropicFrame(x=pick("x"), y=pick("y"), n1=pick("n1"),
-                          n2=pick("n2"))
+    """The frame {x, y, n1, n2} at (u, v); n1 is parallel to H.  The one
+    reader that builds the lightlike frame as (..., 4) arrays."""
+    s, fields = _frame_fields(surface, u, v, tol)
+
+    def ambient(terms):
+        return Vec4M.from_array(sum(_scale(c, s._factors[k].ambient())
+                                    for c, k in terms))
+
+    return IsotropicFrame(*(ambient(fields[k][0])
+                            for k in ("x", "y", "n1", "n2")))
 
 
 def geometric_functions(surface: MeridianSurface, u, v,
                         tol: float = MINIMAL_TOL) -> GeometricFunctions:
     """Frame functions extracted by pairing directional derivatives.
 
-    The derivative along x (resp. y) of an ambient field F is
+    The derivative along x (resp. y) of a frame field F is
     (d_u F + d_v F / f) / sqrt(2)  (resp. with a minus sign), and each
     function is an inner product of such a derivative with a frame
-    vector.  This is the measurement route; closed forms must agree
-    with it, not the other way around.
+    vector: a sum of c d <F_i, G_j> over factored fields, so no (..., 4)
+    array is built.  This is the measurement route; closed forms must
+    agree with it, not the other way around.
     """
-    ff = _frame_fields(surface, u, v, tol)
-    f = ff["f"]
-    x, y, n1, n2 = ff["x"], ff["y"], ff["n1"], ff["n2"]
+    s, fields = _frame_fields(surface, u, v, tol)
+    fa = s._factors
+    r, r_f = 1.0 / _SQRT2, 1.0 / (_SQRT2 * s.f.f)
 
-    def along_x(triple):
-        _, du, dv = triple
-        return (du + _scale(1.0 / f, dv)) / _SQRT2
+    def along(name, sign):
+        """The derivative of frame field ``name`` along x (sign 1) or y (-1)."""
+        _, du, dv = fields[name]
+        return (*((r * c, k) for c, k in du),
+                *((sign * r_f * c, k) for c, k in dv))
 
-    def along_y(triple):
-        _, du, dv = triple
-        return (du - _scale(1.0 / f, dv)) / _SQRT2
+    def inner(a, b):
+        val = sum(c * d * _inner(fa[i], fa[j]) for c, i in a for d, j in b)
+        return float(val) if np.ndim(val) == 0 else val
 
-    nab_x_x = along_x(x)
-    nab_y_y = along_y(y)
-    nab_x_y = along_x(y)
-    nab_x_n1 = along_x(n1)
-    nab_y_n1 = along_y(n1)
-
-    def num(a):
-        return float(a) if np.ndim(a) == 0 else a
-
+    x, y, n1, n2 = (fields[k][0] for k in ("x", "y", "n1", "n2"))
+    nab_x_x, nab_y_y = along("x", 1.0), along("y", -1.0)
     return GeometricFunctions(
-        gamma1=num(-minkowski_inner(nab_x_x, y[0])),
-        gamma2=num(-minkowski_inner(nab_y_y, x[0])),
-        nu=num(-minkowski_inner(nab_x_y, n1[0])),
-        lambda1=num(minkowski_inner(nab_x_x, n1[0])),
-        mu1=num(minkowski_inner(nab_x_x, n2[0])),
-        lambda2=num(minkowski_inner(nab_y_y, n1[0])),
-        mu2=num(minkowski_inner(nab_y_y, n2[0])),
-        beta1=num(minkowski_inner(nab_x_n1, n2[0])),
-        beta2=num(minkowski_inner(nab_y_n1, n2[0])),
+        gamma1=-inner(nab_x_x, y),
+        gamma2=-inner(nab_y_y, x),
+        nu=-inner(along("y", 1.0), n1),
+        lambda1=inner(nab_x_x, n1),
+        mu1=inner(nab_x_x, n2),
+        lambda2=inner(nab_y_y, n1),
+        mu2=inner(nab_y_y, n2),
+        beta1=inner(along("n1", 1.0), n2),
+        beta2=inner(along("n1", -1.0), n2),
     )
 
 

@@ -392,21 +392,37 @@ def test_oversized_work_is_refused_up_front(edit, code, message, cmc_cfg,
     assert not (tmp_path / "o" / "surface.csv").exists()
 
 
+def _peak_grids(run, grid) -> float:
+    """The traced peak memory of run(), in float arrays of the grid's size."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (grid.nu * grid.nv * 8)
+
+
+def _cmc_200(cmc_cfg):
+    cfg = json.loads(open(cmc_cfg).read())
+    cfg["grid"].update(nu=200, nv=200)
+    return cli._build_surface(cfg)
+
 
 def test_sweep_builds_no_ambient_arrays_of_the_grid(cmc_cfg):
     # the invariants take inner products of factored fields, so the sweep
     # holds its output columns, z and a few grid-sized temporaries; an
     # invariant that built (nu, nv, 4) fields would read about 50 grids
-    cfg = json.loads(open(cmc_cfg).read())
-    cfg["grid"].update(nu=200, nv=200)
-    surface, _, grid = cli._build_surface(cfg)
-    tracemalloc.start()
-    try:
-        cli._sweep(surface, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * grid.nu * grid.nv * 8
+    surface, _, grid = _cmc_200(cmc_cfg)
+    assert _peak_grids(lambda: cli._sweep(surface, grid), grid) <= 24
+
+
+def test_geometric_functions_build_no_ambient_arrays_of_the_grid(cmc_cfg):
+    # the frame fields are combinations of factored fields, paired over
+    # scalar grids; pairing (nu, nv, 4) frame fields read about 95 grids
+    surface, _, grid = _cmc_200(cmc_cfg)
+    U, V = grid.mesh()
+    assert _peak_grids(lambda: geometric_functions(surface, U, V), grid) <= 48
 
 NONFINITE_GEOMETRY = [
     ("generate", {"directrix": {"kind": "latitude", "kappa": float("inf")}}),
@@ -618,6 +634,20 @@ def test_geomfuncs_csv_matches_reference_bytes(block_rows, tmp_path,
     _ref_geomfuncs_csv(tmp_path / "ref.csv", grid, values)
     assert ((out / "geomfuncs.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
+
+
+@pytest.mark.parametrize("args, fmt", [
+    (["--format", "obj"], "obj"), ([], "xml"), ([], ["csv"])])
+def test_geomfuncs_rejects_other_formats(args, fmt, tmp_path, capsys):
+    cfg = _cmc_golden(4, 3)
+    if not args:
+        cfg["format"] = fmt
+    path = write_cfg(tmp_path / "gf.json", cfg)
+    out = tmp_path / "gf"
+    assert main(["geomfuncs", "--config", path, "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert repr(fmt) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_geomfuncs_batch_matches_per_point_values():

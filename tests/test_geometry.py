@@ -1,4 +1,3 @@
-import functools
 import re
 
 import numpy as np
@@ -533,21 +532,6 @@ def _factored_invariants(s):
             "h2_jet": mc.h2_jet, "b_u": b_u, "b_v": b_v}
 
 
-@functools.lru_cache(maxsize=None)
-def _route_surfaces() -> dict:
-    """The standard instances, and two of their profiles on a directrix
-    with geodesic curvature 2 + sin v; each with its (u, v) ranges."""
-    out = {tag: (surface, (grid.u_min, grid.u_max), (grid.v_min, grid.v_max))
-           for tag, (surface, _, grid) in standard_instances().items()}
-    curve = curve_from_curvature(sin_offset_fn(2.0), (0.0, 2 * np.pi), h=1e-3)
-    for tag in ("CMC", "PNMC1"):
-        surface, u_range, _ = out[tag]
-        out[tag + "/2+sin"] = (
-            MeridianSurface(profile=surface.profile, directrix=curve),
-            u_range, (0.0, 2 * np.pi))
-    return out
-
-
 _POINTS = st.floats(0.0, 1.0)
 
 
@@ -556,17 +540,9 @@ _POINTS = st.floats(0.0, 1.0)
        layout=st.sampled_from(["scattered", "point", "grid"]),
        s=st.lists(_POINTS, min_size=1, max_size=5),
        t=st.lists(_POINTS, min_size=1, max_size=5))
-def test_factored_invariants_match_ambient_route(name, layout, s, t):
-    surface, (u0, u1), (v0, v1) = _route_surfaces()[name]
-    us = u0 + np.array(s) * (u1 - u0)
-    vs = v0 + np.array(t) * (v1 - v0)
-    if layout == "scattered":
-        n = min(len(us), len(vs))
-        u, v = us[:n], vs[:n]
-    elif layout == "point":
-        u, v = float(us[0]), float(vs[0])
-    else:
-        u, v = us[:, None], vs[None, :]
+def test_factored_invariants_match_ambient_route(route_points, name, layout,
+                                                s, t):
+    surface, u, v = route_points(name, layout, s, t)
     sample = surface._raw(u, v)
     got = _factored_invariants(sample)
     want, k_terms = _ambient_invariants(sample)

@@ -22,10 +22,14 @@ from meridian4 import (
     sin_offset_fn,
     verify_frame,
 )
+from meridian4.acceptance import standard_instances
 from meridian4.errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
                               MinimalPoint, MuVanishes)
+from meridian4.families import TAGS
+from meridian4.minkowski import minkowski_inner
 from meridian4.natural_pde import (
     ISOTROPIC_GRAM,
+    MINIMAL_TOL,
     EquationResidual,
     IsotropicChart,
     Partials2,
@@ -41,6 +45,7 @@ from meridian4.natural_pde import (
     residual_syst1,
     solution_family,
     transported_solution_family,
+    _frame_fields,
 )
 
 TWO_PI = 2 * np.pi
@@ -180,6 +185,111 @@ def test_pnmc_families_have_nonconstant_nu(pnmc1_surface, pnmc2_surface):
         nus = [geometric_functions(surf, float(u), 0.4).nu
                for u in np.linspace(*urange, 9)]
         assert np.max(np.abs(np.diff(nus))) > 1e-3
+
+
+# ------------------------------------------- factored against ambient route
+def _jet_h0(sample, seed):
+    """H0 = h / sqrt(h.h) by Jet3 arithmetic, as first-order jets."""
+    h1, h2 = sample.h_jets(seed)
+    norm = (h1 * h1 + h2 * h2).sqrt()
+    return h1 / norm, h2 / norm
+
+
+@pytest.mark.parametrize("tag", ["PNMC1", "PNMC2", "CMC"])
+@pytest.mark.parametrize("seed", ["u", "v"])
+def test_h0_jets_match_jet_normalization(tag, seed):
+    surface, _, grid = standard_instances()[tag]
+    rng = np.random.default_rng(11)
+    us = rng.uniform(grid.u_min, grid.u_max, 50)
+    vs = rng.uniform(grid.v_min, grid.v_max, 50)
+    sample = surface._raw(us, vs)
+    for got, ref in zip(sample.h0_jets(seed), _jet_h0(sample, seed)):
+        for part in ("f", "d1"):
+            want = getattr(ref, part)
+            gap = np.abs(getattr(got, part) - want)
+            assert np.all(gap <= 1e-12 * (1.0 + np.abs(want))), (part, gap)
+
+
+def _ambient_frame_fields(s):
+    """x, y, n1, n2 with their (u, v)-partials as (..., 4) arrays, by
+    ambient arithmetic on the sample's materialized fields."""
+    sq2 = np.sqrt(2.0)
+
+    def sc(c, vec):
+        return np.asarray(c)[..., None] * vec
+
+    X, dX_u, dX_v = s.X, s.z_uu, s.z_uv
+    Y, dY_u, dY_v = s.Y, np.zeros_like(s.Y), s.curve.tp
+    x = ((X + Y) / sq2, (dX_u + dY_u) / sq2, (dX_v + dY_v) / sq2)
+    y = ((X - Y) / sq2, (dX_u - dY_u) / sq2, (dX_v - dY_v) / sq2)
+    au, bu = _jet_h0(s, "u")
+    av, bv = _jet_h0(s, "v")
+    alpha, beta = au.f, bu.f
+    n1 = (sc(alpha, s.N1) + sc(beta, s.N2),
+          sc(au.d1, s.N1) + sc(alpha, s.dN1_u) + sc(bu.d1, s.N2)
+          + sc(beta, s.dN2_u),
+          sc(av.d1, s.N1) + sc(alpha, s.dN1_v) + sc(bv.d1, s.N2)
+          + sc(beta, s.dN2_v))
+    n2 = (sc(-beta, s.N1) + sc(alpha, s.N2),
+          sc(-bu.d1, s.N1) + sc(-beta, s.dN1_u) + sc(au.d1, s.N2)
+          + sc(alpha, s.dN2_u),
+          sc(-bv.d1, s.N1) + sc(-beta, s.dN1_v) + sc(av.d1, s.N2)
+          + sc(alpha, s.dN2_v))
+    return np.asarray(s.f.f), {"x": x, "y": y, "n1": n1, "n2": n2}
+
+
+def _ambient_geometric_functions(s):
+    """The nine functions by pairing ambient directional derivatives."""
+    f, ff = _ambient_frame_fields(s)
+    x, y, n1, n2 = (ff[k][0] for k in ("x", "y", "n1", "n2"))
+    ip = minkowski_inner
+
+    def along(name, sign):
+        _, du, dv = ff[name]
+        return (du + sign * dv / f[..., None]) / np.sqrt(2.0)
+
+    nab_x_x, nab_y_y = along("x", 1.0), along("y", -1.0)
+    return {"gamma1": -ip(nab_x_x, y), "gamma2": -ip(nab_y_y, x),
+            "nu": -ip(along("y", 1.0), n1),
+            "lambda1": ip(nab_x_x, n1), "mu1": ip(nab_x_x, n2),
+            "lambda2": ip(nab_y_y, n1), "mu2": ip(nab_y_y, n2),
+            "beta1": ip(along("n1", 1.0), n2),
+            "beta2": ip(along("n1", -1.0), n2)}, ff
+
+
+_POINTS = st.floats(0.0, 1.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(name=st.sampled_from(sorted(
+           ["CMC/2+sin", "PNMC1/2+sin", *(t for t in TAGS if t != "Minimal")])),
+       layout=st.sampled_from(["scattered", "point", "grid"]),
+       s=st.lists(_POINTS, min_size=1, max_size=5),
+       t=st.lists(_POINTS, min_size=1, max_size=5))
+def test_factored_frame_functions_match_ambient_route(route_points, name,
+                                                      layout, s, t):
+    surface, u, v = route_points(name, layout, s, t)
+    want_gf, want_fields = _ambient_geometric_functions(surface._raw(u, v))
+    sample, fields = _frame_fields(surface, u, v, MINIMAL_TOL)
+    got = {**vars(geometric_functions(surface, u, v)),
+           **{"frame " + k: w.as_array() for k, w in
+              isotropic_frame(surface, u, v).labeled()}}
+    want = {**want_gf, **{"frame " + k: want_fields[k][0] for k in want_fields}}
+    # every frame field and partial too, though the nine functions read
+    # none of n2's partials
+    for k, triple in fields.items():
+        for key, terms, ref in zip((k, f"d{k}_u", f"d{k}_v"), triple,
+                                   want_fields[k]):
+            got[key] = sum(np.asarray(c)[..., None] * sample._factors[f].ambient()
+                           for c, f in terms)
+            want[key] = ref
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    for key, ref in want.items():
+        assert np.shape(got[key]) == np.shape(ref)
+        assert np.shape(ref)[:len(shape)] == shape
+        gap = np.abs(got[key] - ref)
+        assert np.all(gap <= 1e-12 * (1.0 + np.abs(ref))), (
+            key, np.max(gap / (1.0 + np.abs(ref))))
 
 
 # ---------------------------------------------------------------- chart
