@@ -314,16 +314,17 @@ def _write_obj(path: Path, sweep: dict):
         fh.writelines(_row_blocks("f %d %d %d %d\n", [a, b, b + 1, a + 1]))
 
 
-def _write_grid_json(path: Path, sweep: dict, echo: dict):
-    head = _dumps({"config": echo, "columns": CSV_COLUMNS[:14]})
-    template = "[" + ", ".join(["%r"] * 14) + "]"
+def _write_grid_json(path: Path, echo: dict, columns: list, cols: list):
+    """Write ``{"config": echo, "columns": columns, "rows": rows}`` as
+    :func:`_dumps` spells it; row i holds entry i of each flat column."""
+    head = _dumps({"config": echo, "columns": columns})
+    template = "[" + ", ".join(["%r"] * len(cols)) + "]"
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "rows": [')
         # repr() spells non-finite floats nan/inf; JSON has only null.
         fh.writelines(block.replace("-inf", "null").replace("inf", "null")
                       .replace("nan", "null")
-                      for block in _row_blocks(template, _grid_columns(sweep),
-                                               ", "))
+                      for block in _row_blocks(template, cols, ", "))
         fh.write("]}")
 
 
@@ -354,6 +355,8 @@ def cmd_generate(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_export(cfg: dict, out_dir: Path, fmt: str) -> int:
+    if fmt not in ("obj", "csv", "json"):
+        raise ConfigError(f"unknown format {fmt!r}")
     surface, spec, grid = _build_surface(cfg)
     sweep = _sweep(surface, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,10 +364,9 @@ def cmd_export(cfg: dict, out_dir: Path, fmt: str) -> int:
         _write_obj(out_dir / "surface.obj", sweep)
     elif fmt == "csv":
         _write_csv(out_dir / "surface.csv", sweep)
-    elif fmt == "json":
-        _write_grid_json(out_dir / "surface.json", sweep, cfg)
     else:
-        raise ConfigError(f"unknown format {fmt!r}")
+        _write_grid_json(out_dir / "surface.json", cfg, CSV_COLUMNS[:14],
+                         _grid_columns(sweep))
     print(str(out_dir / f"surface.{fmt}"))
     return 0
 
@@ -390,9 +392,8 @@ def cmd_geomfuncs(cfg: dict, out_dir: Path, fmt: str) -> int:
     gf = geometric_functions(surface, U, V)
     cols = [np.ravel(c) for c in np.broadcast_arrays(U, V, *gf.as_array())]
     if fmt == "json":
-        (out_dir / "geomfuncs.json").write_text(_dumps(
-            {"config": cfg, "columns": GEOMFUNC_COLUMNS,
-             "rows": np.stack(cols, axis=1).tolist()}))
+        _write_grid_json(out_dir / "geomfuncs.json", cfg, GEOMFUNC_COLUMNS,
+                         cols)
     else:
         with open(out_dir / "geomfuncs.csv", "w", newline="") as fh:
             fh.write(",".join(GEOMFUNC_COLUMNS) + "\r\n")

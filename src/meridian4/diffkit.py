@@ -26,9 +26,9 @@ independent cross-check oracle for jets produced elsewhere.
 
 :func:`quadrature` is adaptive Simpson over arrays of intervals, refined
 breadth-first with one integrand evaluation per level.  A profile's g is
-a :class:`CumulativeQuadrature` of g': each call integrates all of its
-points not yet memoized in one such pass and memoizes them, so g can
-move in its last bits with the set of earlier queries.
+a :class:`CumulativeQuadrature` of g': fixed panel sums over the domain,
+taken once at build, plus one such pass from the panel edge below each
+point, so g at a point depends on that point alone.
 """
 from __future__ import annotations
 
@@ -385,7 +385,8 @@ def quadrature(fn: SmoothFn1, a, b, tol: float = 1e-10,
     a and b broadcast against each other; two scalars give a float.  The
     refinement runs breadth-first over the panels of all intervals at
     once: each level evaluates fn once, at the quarter-points of every
-    open panel, and accepts a panel when |left + right - whole| <= 15 eps,
+    open panel (the first level together with the ends and midpoints),
+    and accepts a panel when |left + right - whole| <= 15 eps,
     with eps = tol halved per level.  Exact to rounding on polynomials of
     degree <= 3 per panel.  A zero-length interval gives 0 and a reversed
     one the negated integral.  Raises :class:`IntervalOutsideDomain`
@@ -411,14 +412,17 @@ def quadrature(fn: SmoothFn1, a, b, tol: float = 1e-10,
 
     total = np.zeros(a.size)
     mid = 0.5 * (lo + hi)
-    fa, fm, fb = f(lo, mid, hi) if owner.size else (lo, lo, lo)
+    lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+    # the first level's quarter-points share the ends' and midpoints' call
+    fa, fm, fb, flm, frm = f(lo, mid, hi, lm, rm) if owner.size else (lo,) * 5
     whole = (hi - lo) * (fa + 4.0 * fm + fb) / 6.0
     eps = tol
     for depth in range(max_depth + 1):
         if not owner.size:
             break
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm, rm)
+        if depth:
+            lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            flm, frm = f(lm, rm)
         left = (mid - lo) * (fa + 4.0 * flm + fm) / 6.0
         right = (hi - mid) * (fm + 4.0 * frm + fb) / 6.0
         err = left + right - whole
@@ -445,61 +449,37 @@ def quadrature(fn: SmoothFn1, a, b, tol: float = 1e-10,
     return out if out.ndim else float(out)
 
 
-class CumulativeQuadrature:
-    """Antiderivative u -> integral_{u0}^{u} fn, memoized at visited points.
+#: Panels a :class:`CumulativeQuadrature` cuts its function's domain into.
+PANELS = 256
 
-    A call takes any array of points and returns the antiderivative in
-    its shape (a float for a scalar).  The points not yet memoized are
-    integrated in one :func:`quadrature` call, each from its neighbour
-    towards its anchor: the nearest memoized point on its left, or on
-    its right when it lies left of them all.  Each new value is then a
-    cumulative sum from its anchor, so g(u0) = 0 exactly, while other
-    values may move in their last bits with the set of earlier queries.
+
+class CumulativeQuadrature:
+    """Antiderivative u -> integral_{u0}^{u} fn, from fixed panel sums.
+
+    The build cuts fn's domain at ``fn.domain.sample(PANELS + 1)`` and at
+    u0, and sums those panels once, in one :func:`quadrature` call, so
+    that the sum at u0 is exactly 0.  A call takes any array of points
+    and returns the antiderivative in its shape (a float for a scalar):
+    the sum at the last edge at or below each point (the first edge for
+    a point below them all) plus one quadrature from that edge.  A value
+    therefore depends on its point and fn alone, not on earlier queries.
     """
 
     def __init__(self, fn: SmoothFn1, u0: float, tol: float = 1e-12):
         self.fn = fn
         self.tol = tol
-        self._u = np.array([float(u0)])     # memoized points, sorted
-        self._g = np.array([0.0])           # the antiderivative there
+        u0 = float(u0)
+        edges = np.sort(np.append(fn.domain.sample(PANELS + 1), u0))
+        steps = quadrature(fn, edges[:-1], edges[1:], tol)
+        sums = np.append(0.0, np.cumsum(steps))
+        self._edges = edges
+        self._sums = sums - sums[np.searchsorted(edges, u0)]
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        at = np.searchsorted(self._u, u)
-        known = self._u[np.minimum(at, self._u.size - 1)] == u
-        if not known.all():
-            new = np.sort(u[~known])
-            # unique points (NaN, never equal, reaches the domain check)
-            self._learn(new[np.append(True, new[1:] != new[:-1])])
-            at = np.searchsorted(self._u, u)
-        out = self._g[at]
+        k = np.maximum(np.searchsorted(self._edges, u, side="right") - 1, 0)
+        out = self._sums[k] + quadrature(self.fn, self._edges[k], u, self.tol)
         return out if u.ndim else float(out)
-
-    def _learn(self, new):
-        """Memoize the antiderivative at the sorted, unique new points."""
-        known, g = self._u, self._g
-        below = new[new < known[0]]
-        above = new[~(new < known[0])]
-        # runs of points above known[0] start at their nearest known point
-        # on the left; each later point steps from its left neighbour
-        anchor = np.searchsorted(known, above) - 1
-        first = np.searchsorted(anchor, anchor)     # where each run starts
-        starts = first == np.arange(above.size)
-        prev = np.append(known[0], above)[:-1]
-        prev[starts] = known[anchor[starts]]
-        # points below known[0] step down from their right neighbour
-        steps = quadrature(
-            self.fn, np.concatenate([prev, np.append(below, known[0])[:0:-1]]),
-            np.concatenate([above, below[::-1]]), self.tol)
-        up, down = steps[:above.size], steps[above.size:]
-        summed = np.cumsum(up)
-        before = np.append(0.0, summed[:-1])
-        g_up = g[anchor] + (summed - before[first])
-        g_down = g[0] + np.cumsum(down)[::-1]
-        points = np.concatenate([below, known, above])
-        order = np.argsort(points, kind="stable")
-        self._u = points[order]
-        self._g = np.concatenate([g_down, g, g_up])[order]
 
 
 # --------------------------------------------------------------------------

@@ -319,9 +319,9 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
     """
     anchor = domain.lo if np.isfinite(domain.lo) else 0.0
 
-    def gd_jet(u):
-        g = g_jet_from_f(f_eval(np.asarray(u, dtype=float)), sign_g, 0.0)
-        return Jet3(g.d1, g.d2, g.d3, 0.0)
+    def gd_jet(u):      # g' alone: quadrature reads only the value
+        fd = f_eval(np.asarray(u, dtype=float)).d1
+        return Jet3(sign_g * np.sqrt(fd ** 2 + 1.0))
 
     cumulative = CumulativeQuadrature(SmoothFn1(gd_jet, domain, name="g'"),
                                       anchor, tol=1e-12)

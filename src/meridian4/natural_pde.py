@@ -283,10 +283,10 @@ class IsotropicChart:
     @classmethod
     def for_surface(cls, surface: MeridianSurface) -> "IsotropicChart":
         """Generic chart with U computed by quadrature of 1/f, anchored
-        at the domain midpoint (unbounded ends cut at -10 and 10)."""
+        at the midpoint of the domain's sample window (see
+        :meth:`Interval.sample`), which lies inside the domain."""
         dom = surface.profile.domain
-        lo = dom.lo if math.isfinite(dom.lo) else -10.0
-        hi = dom.hi if math.isfinite(dom.hi) else 10.0
+        lo, hi = dom.sample(2)
         anchor = 0.5 * (lo + hi)
         inv_f = SmoothFn1(
             lambda u: surface.profile.f_eval(np.asarray(u, dtype=float)).reciprocal(),

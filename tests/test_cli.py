@@ -616,7 +616,8 @@ def test_distinct_value_path_matches_reference_bytes(block_rows, tmp_path,
         got = (tmp_path / "got").read_bytes()
         assert got == (tmp_path / "ref").read_bytes()
         assert b"-0," in got or b" -0 " in got
-    cli._write_grid_json(tmp_path / "s.json", sweep, {})
+    cli._write_grid_json(tmp_path / "s.json", {}, cli.CSV_COLUMNS[:14],
+                         cli._grid_columns(sweep))
     assert (tmp_path / "s.json").read_text() == _ref_grid_json(sweep, {})
 
 
@@ -636,6 +637,39 @@ def test_geomfuncs_csv_matches_reference_bytes(block_rows, tmp_path,
             == (tmp_path / "ref.csv").read_bytes())
 
 
+def _ref_geomfuncs_json(cfg, grid, values):
+    """The old route: json.dumps of the rows as one list of Python lists."""
+    cols = [np.ravel(c) for c in np.broadcast_arrays(*grid.mesh(), *values)]
+    return json.dumps({"config": cfg, "columns": cli.GEOMFUNC_COLUMNS,
+                       "rows": np.stack(cols, axis=1).tolist()},
+                      allow_nan=False)
+
+
+_PNMC2_30X20 = {
+    "family": {"tag": "PNMC2", "a": 1.0, "c": 2.0, "kappa": 1.0, "f0": 1.0,
+               "u_min": 0.0, "u_max": 0.8, "h": 1e-3},
+    "directrix": {"kind": "latitude", "kappa": 1.0},
+    "grid": {"u_min": 0.01, "u_max": 0.79, "nu": 30,
+             "v_min": 0.3, "v_max": 6.5, "nv": 20},
+}
+
+
+@pytest.mark.parametrize("cfg, block_rows", [
+    (_cmc_golden(6, 5), None), (_cmc_golden(6, 5), 7), (_PNMC2_30X20, None)])
+def test_geomfuncs_json_matches_reference_bytes(cfg, block_rows, tmp_path,
+                                                monkeypatch, capsys):
+    if block_rows:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    path = write_cfg(tmp_path / "gf.json", cfg)
+    out = tmp_path / "gf"
+    assert main(["geomfuncs", "--config", path, "--out", str(out),
+                 "--format", "json"]) == 0
+    surface, _, grid = cli._build_surface(cfg)
+    values = geometric_functions(surface, *grid.mesh()).as_array()
+    assert ((out / "geomfuncs.json").read_text()
+            == _ref_geomfuncs_json(cfg, grid, values))
+
+
 @pytest.mark.parametrize("args, fmt", [
     (["--format", "obj"], "obj"), ([], "xml"), ([], ["csv"])])
 def test_geomfuncs_rejects_other_formats(args, fmt, tmp_path, capsys):
@@ -645,6 +679,23 @@ def test_geomfuncs_rejects_other_formats(args, fmt, tmp_path, capsys):
     path = write_cfg(tmp_path / "gf.json", cfg)
     out = tmp_path / "gf"
     assert main(["geomfuncs", "--config", path, "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert repr(fmt) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["xml", ["csv"]])
+def test_export_rejects_other_formats_before_any_work(fmt, tmp_path, capsys,
+                                                      monkeypatch):
+    def build(cfg):
+        raise AssertionError("built a surface for a rejected format")
+
+    monkeypatch.setattr(cli, "_build_surface", build)
+    cfg = _cmc_golden(4, 3)
+    cfg["format"] = fmt
+    path = write_cfg(tmp_path / "exp.json", cfg)
+    out = tmp_path / "exp"
+    assert main(["export", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert repr(fmt) in err and "Traceback" not in err
     assert not out.exists()
@@ -672,7 +723,8 @@ def test_grid_json_writes_nonfinite_as_null(flat_cfg, tmp_path):
     def reject(token):
         raise ValueError(f"bare {token} is not JSON")
 
-    cli._write_grid_json(tmp_path / "s.json", sweep, {})
+    cli._write_grid_json(tmp_path / "s.json", {}, cli.CSV_COLUMNS[:14],
+                         cli._grid_columns(sweep))
     data = json.loads((tmp_path / "s.json").read_text(), parse_constant=reject)
     rows = data["rows"]
     assert rows[0][9] is None and rows[1][10] is None and rows[12][11] is None

@@ -258,7 +258,9 @@ def test_quadrature_batch_exact_on_cubics(coeffs, ends):
 
 def test_cumulative_quadrature_values_are_the_pointwise_calls():
     fn = jet_fn(lambda j: j.cos(), Interval(-10, 10))
-    u = np.array([[0.3, -1.0], [2.0, 0.3], [-2.5, 1.1]])
+    # -9.99 lies below the first panel edge, in the sample window's pad
+    u = np.array([[0.3, -1.0], [2.0, 0.3], [-2.5, 1.1], [-9.99, 9.99]])
+    assert -9.99 < fn.domain.sample(2)[0]
     cq = CumulativeQuadrature(fn, 0.0)
     cq(np.array([0.7, -0.2]))               # earlier queries on both sides
     got = cq(u)
@@ -268,8 +270,8 @@ def test_cumulative_quadrature_values_are_the_pointwise_calls():
     bound = 1e-12 * (1 + np.abs(got))
     assert np.all(np.abs(got - pointwise) <= bound)
     assert np.all(np.abs(got - np.sin(u)) <= bound)
-    # a repeated batch is served from the memo, bit for bit
-    assert np.array_equal(cq(u), got)
+    # a fresh instance and a used one agree, bit for bit
+    assert np.array_equal(CumulativeQuadrature(fn, 0.0)(u), got)
     scalar = cq(0.3)
     assert isinstance(scalar, float) and scalar == got[0, 0]
     assert cq(0.0) == 0.0

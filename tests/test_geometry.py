@@ -11,6 +11,7 @@ from meridian4 import (
     MeridianSurface,
     SphericalCurve,
     Vec4M,
+    build_profile,
     build_surface,
     causal_character,
     constant_fn,
@@ -479,7 +480,7 @@ def test_batch_records_match_per_point_calls(tag, points):
         batch = evaluate(us, vs)
         fields = _vec_arrays(batch)
         for i, (u, v) in enumerate(zip(us, vs)):
-            # vectorized sin/cos and the g memo may round differently
+            # vectorized sin/cos may round differently from scalar calls
             for got, want in zip(fields, _vec_arrays(evaluate(u, v))):
                 assert got.shape == (len(us), 4)
                 assert np.all(np.abs(got[i] - want)
@@ -492,6 +493,26 @@ def test_batch_records_match_per_point_calls(tag, points):
                           for name, vec in labeled], gram).max_deviation
             for i in range(len(us))]
         assert verify_frame(labeled, gram).max_deviation == max(per_point)
+
+
+@settings(deadline=None, max_examples=40)
+@given(tag=st.sampled_from(TAGS),
+       points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       others=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_g_depends_on_its_point_alone(tag, points, others):
+    # one batch, one point at a time in reverse, and the batch again after
+    # unrelated queries: the same g, bit for bit
+    _, spec, grid = standard_instances()[tag]
+    span = grid.u_max - grid.u_min
+    us = grid.u_min + np.array(points) * span
+    batch, single = build_profile(spec), build_profile(spec)
+    g = batch.g_eval(us).f
+    reverse = [single.g_eval(u).f for u in us[::-1]][::-1]
+    assert np.array_equal(g, reverse)
+    batch.g_eval(grid.u_min + np.array(others) * span)
+    single.g_eval(grid.u_min + np.array(others[::-1]) * span)
+    assert np.array_equal(batch.g_eval(us).f, g)
+    assert np.array_equal(single.g_eval(us).f, g)
 
 
 # ------------------------------------------- factored against ambient route

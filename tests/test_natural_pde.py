@@ -14,6 +14,7 @@ from meridian4 import (
     jet_fn,
     great_circle,
     latitude_circle,
+    make_flat,
     make_minimal,
     make_parallel_H1,
     make_parallel_H2,
@@ -328,6 +329,20 @@ def test_chart_agrees_between_closed_and_quadrature(pnmc1_surface):
     # same anchor (u = a): antiderivatives agree, not just derivatives
     for u in (-0.7, -0.2, 0.5, 0.8):
         assert quad.U(u) == pytest.approx(float(closed.U(u)), abs=1e-11)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_quadrature_chart_is_anchored_inside_a_half_line(a):
+    # f = a u - 12 on (12, inf) or (-inf, -12), a half-line that starts
+    # more than 10 from the origin: the anchor must still lie inside it
+    surface = MeridianSurface(profile=make_flat(a, -12.0),
+                              directrix=great_circle())
+    chart = IsotropicChart.for_surface(surface)
+    u = a * (12.0 + np.array([0.5, 3.0, 15.0, 40.0]))
+    # U' = 1/f, so U differences are a log|u - 12 a| differences
+    exact = a * np.log(np.abs(u - 12.0 * a))
+    got = chart.U(u)
+    assert np.all(np.abs((got - got[0]) - (exact - exact[0])) <= 1e-10)
 
 
 # ---------------------------------------------------------------- fields
