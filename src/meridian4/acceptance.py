@@ -15,9 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .diffkit import Interval, expr_fn, integrate_profile, sin_offset_fn, sqrt
-from .families import FamilySpec, build_profile, verify_family
-from .geometry import MeridianSurface, great_circle, latitude_circle
-from .grids import Grid2
+from .families import FamilySpec, build_surface, verify_family
+from .geometry import great_circle, latitude_circle
+from .grids import Grid2, max_abs
 from .minkowski import verify_frame
 from .natural_pde import (
     ISOTROPIC_GRAM,
@@ -106,12 +106,8 @@ def standard_instances() -> dict:
                                        "f0": 1.0}, 0.0, 0.8, h=1e-3),
                   latitude_circle(1.0), Grid2(0.0, 0.8, 50, 0.0, two_pi, 50)),
     }
-    out = {}
-    for tag, (spec, directrix, grid) in defs.items():
-        surface = MeridianSurface(profile=build_profile(spec),
-                                  directrix=directrix, name=tag)
-        out[tag] = (surface, spec, grid)
-    return out
+    return {tag: (build_surface(spec, directrix), spec, grid)
+            for tag, (spec, directrix, grid) in defs.items()}
 
 
 def _cosh_phi():
@@ -128,8 +124,7 @@ def criterion_1() -> CriterionResult:
     checks = []
     for tag, (surface, _, grid) in standard_instances().items():
         kperp = surface.normal_curvature(*grid.mesh())
-        checks.append(Check(f"{tag} max|Kperp|", float(np.max(np.abs(kperp))),
-                            1e-8))
+        checks.append(Check(f"{tag} max|Kperp|", max_abs(kperp), 1e-8))
     return CriterionResult(1, "flat normal connection (all families)",
                            tuple(checks))
 
@@ -139,14 +134,14 @@ def criterion_2() -> CriterionResult:
     checks = []
     for tag, (surface, _, grid) in standard_instances().items():
         k = surface.gauss_curvature(*grid.mesh())
-        gap = float(np.max(np.abs(k.frame_route - k.profile_route)))
+        gap = max_abs(k.frame_route - k.profile_route)
         checks.append(Check(f"{tag} route gap", gap, 1e-8))
     flat = verify_family(*standard_instances()["Flat"])
     checks.append(Check("Flat max|K|", flat.max_violation, 1e-12))
     cosh_s, _, gridc = standard_instances()["ConstantK"]
     kc = cosh_s.gauss_curvature(*gridc.mesh())
-    checks.append(Check("cosh family max|K-1|",
-                        float(np.max(np.abs(kc.frame_route - 1.0))), 1e-9))
+    checks.append(Check("cosh family max|K-1|", max_abs(kc.frame_route - 1.0),
+                        1e-9))
     return CriterionResult(2, "Gauss curvature two-route agreement",
                            tuple(checks))
 
@@ -185,20 +180,17 @@ def criterion_5() -> CriterionResult:
     Case (ii): pinned <H,H> and flatness."""
     s1, _, g1 = standard_instances()["ParallelH1"]
     us = g1.u_points()
-    f_err = float(np.max(np.abs(
-        s1.profile.jets(us).f.f - np.cosh(us + 0.1))))
+    f_err = max_abs(s1.profile.jets(us).f.f - np.cosh(us + 0.1))
     dh = verify_family(*standard_instances()["ParallelH1"]).max_violation
     k1 = s1.gauss_curvature(*g1.mesh())
-    kdev = max(float(np.max(np.abs(k1.frame_route - 1.0))),
-               float(np.max(np.abs(k1.profile_route - 1.0))))
+    kdev = max_abs(k1.frame_route - 1.0, k1.profile_route - 1.0)
 
     s2, _, g2 = standard_instances()["ParallelH2"]
     mc = s2.mean_curvature(*g2.mesh())
     hsq = mc.h1 ** 2 + mc.h2 ** 2
-    hdev = float(np.max(np.abs(hsq - 0.625)))
+    hdev = max_abs(hsq - 0.625)
     k2 = s2.gauss_curvature(*g2.mesh())
-    k2max = max(float(np.max(np.abs(k2.frame_route))),
-                float(np.max(np.abs(k2.profile_route))))
+    k2max = max_abs(k2.frame_route, k2.profile_route)
     dh2 = verify_family(*standard_instances()["ParallelH2"]).max_violation
     return CriterionResult(5, "parallel mean curvature, cases (i) and (ii)", (
         Check("(i) max |f - cosh(u+0.1)|", f_err, 1e-8),
@@ -229,9 +221,8 @@ def criterion_7() -> CriterionResult:
     def measure(surface, U, closed):
         """max |numeric - closed| and max |beta1|, |beta2| on the U x V grid."""
         gf = geometric_functions(surface, U, V)
-        diff = float(np.max(np.abs(gf.as_array() - closed.as_array())))
-        beta = float(np.max(np.abs([gf.beta1, gf.beta2])))
-        return diff, beta
+        return (max_abs(gf.as_array() - closed.as_array()),
+                max_abs(gf.beta1, gf.beta2))
 
     s1, _, _ = standard_instances()["PNMC1"]
     U1 = np.linspace(-0.85, 0.85, 5)[:, None]
@@ -246,7 +237,7 @@ def criterion_7() -> CriterionResult:
     return CriterionResult(7, "geometric functions, numeric vs closed", (
         Check("case (i) max diff (25 pts)", diff1, 1e-6),
         Check("case (ii) max diff (25 pts)", diff2, 1e-6),
-        Check("max |beta1|, |beta2|", max(beta1, beta2), 1e-8),
+        Check("max |beta1|, |beta2|", max_abs(beta1, beta2), 1e-8),
     ))
 
 
@@ -259,11 +250,8 @@ def criterion_8() -> CriterionResult:
         "example2": (5.0, 0.0, 0.5, 9.5),
     }.items():
         lam, mu, nu = solution_family(a, b, kap)
-        surface = MeridianSurface(
-            profile=build_profile(
-                FamilySpec("PNMC1", {"a": a, "b": b, "kappa": 2.0},
-                           umin, umax)),
-            directrix=latitude_circle(2.0))
+        surface = build_surface(
+            FamilySpec("PNMC1", {"a": a, "b": b, "kappa": 2.0}, umin, umax))
         chart = IsotropicChart.for_minimal_family(surface, a, b)
         grid = Grid2(umin, umax, 40, 0.0, 2.0 * math.pi, 40)
         rep = residual_syst1(lam, mu, nu, chart, grid, tol=1e-8)
@@ -300,13 +288,12 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """Profile normalization f'^2 - g'^2 = -1 on every grid."""
-    worst = 0.0
-    for tag, (surface, _, grid) in standard_instances().items():
+    devs = []
+    for surface, _, grid in standard_instances().values():
         jets = surface.profile.jets(grid.u_points())
-        dev = float(np.max(np.abs(jets.f.d1 ** 2 - jets.g.d1 ** 2 + 1.0)))
-        worst = max(worst, dev)
-    return CriterionResult(10, "profile normalization on all grids",
-                           (Check("max |f'^2 - g'^2 + 1|", worst, 1e-9),))
+        devs.append(jets.f.d1 ** 2 - jets.g.d1 ** 2 + 1.0)
+    return CriterionResult(10, "profile normalization on all grids", (
+        Check("max |f'^2 - g'^2 + 1|", max_abs(*devs), 1e-9),))
 
 
 _CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -53,7 +53,7 @@ import numpy as np
 from . import acceptance
 from .diffkit import Jet3, SmoothFn1, constant_fn, jet_fn, poly_fn, sin_offset_fn
 from .errors import MeridianError
-from .families import FamilySpec, build_profile, verify_family
+from .families import FamilySpec, build_profile, build_surface, verify_family
 from .geometry import MeridianSurface, curve_from_curvature, great_circle, latitude_circle
 from .grids import Grid2, json_safe
 from .natural_pde import (
@@ -164,18 +164,13 @@ def _build_surface(cfg: dict) -> tuple:
         raise ConfigError(
             f"grid u-range [{grid.u_min}, {grid.u_max}] outside family "
             f"interval [{spec.u_min}, {spec.u_max}]")
-    return _surface(spec, cfg.get("directrix", {}), grid), spec, grid
-
-
-def _surface(spec: FamilySpec, directrix_cfg, grid: Grid2) -> MeridianSurface:
-    """The family's surface over the configured directrix; a value that
-    the constructors reject as a type or value is a config error."""
     try:
-        directrix = _build_directrix(directrix_cfg, grid)
+        directrix = _build_directrix(cfg.get("directrix", {}), grid)
         profile = build_profile(spec)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad directrix or family parameters: {exc}")
-    return MeridianSurface(profile=profile, directrix=directrix, name=spec.tag)
+    return (MeridianSurface(profile=profile, directrix=directrix,
+                            name=spec.tag), spec, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +440,10 @@ def cmd_pde(cfg: dict, out_dir: Path | None, tol: float) -> int:
         else:
             if not grid.u_max > grid.u_min:
                 raise ConfigError("grid u_max must exceed u_min")
-            spec = FamilySpec("PNMC1", {"a": a, "b": b, "kappa": 2.0},
-                              grid.u_min, grid.u_max)
-            surface = _surface(spec, {"kind": "curvature",
-                                      "kappa": cfg.get("kappa", "const:2")},
-                               grid)
+            # the residuals read the profile and chart, not the directrix
+            surface = build_surface(FamilySpec(
+                "PNMC1", {"a": a, "b": b, "kappa": 2.0},
+                grid.u_min, grid.u_max))
             chart = IsotropicChart.for_minimal_family(surface, a, b)
             if system == "syst1":
                 report = residual_syst1(lam, mu, nu, chart, grid, tol=tol)
@@ -507,11 +501,11 @@ def main(argv=None) -> int:
         out = args.out or cfg.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError(f"'out' must be a path string, not {out!r}")
-        tol = (args.tol if args.tol is not None
-               else _config_number(cfg, "tol", 1e-6))
+        tol = (args.tol if args.tol is not None else _config_number(
+            cfg, "tol", 1e-8 if args.command == "pde" else 1e-6))
         fmt = args.format or cfg.get("format", "csv")
-        if tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < tol < np.inf:        # NaN fails this too
+            raise ConfigError(f"tol must be positive and finite, not {tol!r}")
         if args.command == "generate":
             return cmd_generate(cfg, Path(out or "out"))
         if args.command == "export":
@@ -521,9 +515,7 @@ def main(argv=None) -> int:
         if args.command == "geomfuncs":
             return cmd_geomfuncs(cfg, Path(out or "out"), fmt)
         if args.command == "pde":
-            return cmd_pde(cfg, Path(out) if out else None,
-                           args.tol if args.tol is not None
-                           else _config_number(cfg, "tol", 1e-8))
+            return cmd_pde(cfg, Path(out) if out else None, tol)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

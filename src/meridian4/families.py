@@ -32,7 +32,7 @@ from .geometry import (
     latitude_circle,
     profile_from_f_jets,
 )
-from .grids import Grid2, json_safe
+from .grids import Grid2, json_safe, max_abs
 
 __all__ = [
     "TAGS",
@@ -113,6 +113,14 @@ def make_constant_K(K: float, a1: float, a2: float, interval: Interval,
                                name=f"constant-K(K={K},a1={a1},a2={a2})")
 
 
+def _minimal_radius(a: float, b: float) -> float:
+    """r = sqrt(a^2 + b): f = sqrt(-u^2 + 2 a u + b) lives on (a - r, a + r)."""
+    r2 = a * a + b
+    if r2 <= 0:
+        raise EmptyInterval(f"a^2 + b = {r2} leaves no valid interval")
+    return math.sqrt(r2)
+
+
 def make_minimal(a: float, b: float, c: float = 0.0,
                  sign_g: int = 1) -> MeridianProfile:
     """Profile f = sqrt(-u^2 + 2 a u + b) solving 1 + f'^2 + f f'' = 0.
@@ -120,10 +128,7 @@ def make_minimal(a: float, b: float, c: float = 0.0,
     Defined on (a - r, a + r) with r = sqrt(a^2 + b); pairs with a zero
     curvature directrix for a genuinely minimal surface.
     """
-    r2 = a * a + b
-    if r2 <= 0:
-        raise EmptyInterval(f"a^2 + b = {r2} leaves no valid interval")
-    r = math.sqrt(r2)
+    r = _minimal_radius(a, b)
 
     def f_eval(u):
         j = Jet3.variable(np.asarray(u, dtype=float))
@@ -410,28 +415,27 @@ def verify_family(surface: MeridianSurface, spec: FamilySpec, grid: Grid2,
     if spec.tag in ("Flat", "ConstantK"):
         k = surface.gauss_curvature(U, V)
         k0 = float(p.get("K", 0.0)) if spec.tag == "ConstantK" else 0.0
-        viol = max(float(np.max(np.abs(k.frame_route - k0))),
-                   float(np.max(np.abs(k.profile_route - k0))))
+        viol = max_abs(k.frame_route - k0, k.profile_route - k0)
         prop = ("gauss-curvature-zero" if spec.tag == "Flat"
                 else f"gauss-curvature-constant({k0})")
     elif spec.tag == "Minimal":
         mc = surface.mean_curvature(U, V)
-        viol = float(np.max(np.hypot(mc.h1, mc.h2)))
+        viol = max_abs(np.hypot(mc.h1, mc.h2))
         prop = "mean-curvature-zero"
     elif spec.tag == "CMC":
         mc = surface.mean_curvature(U, V)
-        viol = float(np.max(np.abs(np.hypot(mc.h1, mc.h2) - p["a"])))
+        viol = max_abs(np.hypot(mc.h1, mc.h2) - p["a"])
         details["target_norm"] = float(p["a"])
         prop = "mean-curvature-norm-constant"
     elif spec.tag in ("ParallelH1", "ParallelH2"):
         dx, dy = surface.normal_derivative_H(U, V)
-        viol = max(float(np.max(np.abs(c))) for c in (*dx, *dy))
+        viol = max_abs(*dx, *dy)
         prop = "mean-curvature-parallel"
     else:  # PNMC1 / PNMC2
         dx0, dy0 = surface.normal_derivative_H0(U, V)
-        viol = max(float(np.max(np.abs(c))) for c in (*dx0, *dy0))
+        viol = max_abs(*dx0, *dy0)
         dxh, _ = surface.normal_derivative_H(U, V)
-        wit = max(float(np.max(np.abs(c))) for c in dxh)
+        wit = max_abs(*dxh)
         details["max_DXH"] = wit
         witness_ok = wit >= DH_WITNESS_FLOOR
         prop = "normalized-mean-curvature-parallel"

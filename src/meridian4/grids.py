@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid2", "json_safe"]
+__all__ = ["Grid2", "json_safe", "max_abs"]
 
 #: Grids with more points than this are refused before anything is built.
 MAX_POINTS = 10 ** 8
@@ -25,6 +25,13 @@ def json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
     return obj
+
+
+def max_abs(*arrays) -> float:
+    """The largest |x| over all entries of the arrays; NaN if any is NaN,
+    so a verdict ``<= tol`` fails on it (Python's max() drops a NaN that
+    is not its first argument)."""
+    return float(np.max([np.max(np.abs(a)) for a in arrays]))
 
 
 @dataclass(frozen=True)

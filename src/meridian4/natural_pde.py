@@ -49,8 +49,9 @@ import numpy as np
 from .diffkit import CumulativeQuadrature, Jet3, SmoothFn1, constant_fn
 from .errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
                      MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict)
+from .families import _minimal_radius
 from .geometry import MeridianSurface, _inner, _scale
-from .grids import Grid2, json_safe
+from .grids import Grid2, json_safe, max_abs
 from .minkowski import Vec4M
 
 __all__ = [
@@ -265,6 +266,24 @@ def closed_geometric_functions_pnmc2(c: float, a: float, kappa: float,
 # isotropic chart
 # ---------------------------------------------------------------------------
 
+def _arcsin_chart(a: float, b: float) -> tuple:
+    """The closed-form maps (U, u_from_U) of f = sqrt(-u^2 + 2 a u + b):
+    U(u) = arcsin((u - a) / r) with U' = 1/f, and u = a + r sin(w), which
+    raises :class:`ChartDomain` unless |w| < pi/2 (a NaN w included)."""
+    r = _minimal_radius(a, b)
+
+    def U(u):
+        return np.arcsin((np.asarray(u, dtype=float) - a) / r)
+
+    def u_from_U(w):
+        w = np.asarray(w, dtype=float)
+        if not np.all(np.abs(w) < math.pi / 2):
+            raise ChartDomain("barred point maps outside the profile")
+        return a + r * np.sin(w)
+
+    return U, u_from_U
+
+
 @dataclass(frozen=True)
 class IsotropicChart:
     """Chart (u, v) -> (ubar, vbar) = ((U(u) + v), (U(u) - v)) / sqrt(2).
@@ -297,18 +316,10 @@ class IsotropicChart:
     @classmethod
     def for_minimal_family(cls, surface: MeridianSurface, a: float,
                            b: float) -> "IsotropicChart":
-        """Closed-form chart for profiles f = sqrt(-u^2 + 2 a u + b)."""
-        r2 = a * a + b
-        if r2 <= 0:
-            raise EmptyInterval(f"a^2 + b = {r2} leaves no valid interval")
-        r = math.sqrt(r2)
-
-        def U(u):
-            return np.arcsin((np.asarray(u, dtype=float) - a) / r)
-
-        def u_from_U(w):
-            return a + r * np.sin(np.asarray(w, dtype=float))
-
+        """Closed-form chart for profiles f = sqrt(-u^2 + 2 a u + b), with
+        U(u) = arcsin((u - a) / r); the inverse raises :class:`ChartDomain`
+        for |U| >= pi/2, outside the image of the profile interval."""
+        U, u_from_U = _arcsin_chart(a, b)
         return cls(surface=surface, U=U, u_from_U=u_from_U,
                    name=f"arcsin(a={a},b={b})")
 
@@ -319,6 +330,9 @@ class IsotropicChart:
         return scale * (Uv + v) / _SQRT2, scale * (Uv - v) / _SQRT2
 
     def from_barred(self, ubar, vbar, scale: float = 1.0):
+        """(u, v) of barred points; raises :class:`ChartDomain` if the chart
+        has no closed-form inverse, or if U = (ubar + vbar) / (sqrt(2) scale)
+        leaves U's image (|U| >= pi/2 for :meth:`for_minimal_family`)."""
         if self.u_from_U is None:
             raise ChartDomain("chart has no closed-form inverse")
         ubar = np.asarray(ubar, dtype=float)
@@ -454,10 +468,7 @@ def solution_family(a: float, b: float, kappa: SmoothFn1,
     them through the canonical chart (or use :func:`residual_syst1`) to
     check the system.
     """
-    r2 = a * a + b
-    if r2 <= 0:
-        raise EmptyInterval(f"a^2 + b = {r2} leaves no valid interval")
-    r = math.sqrt(r2)
+    r = _minimal_radius(a, b)
 
     def S(u):
         j = Jet3.variable(u)
@@ -490,13 +501,14 @@ def transported_solution_family(a: float, b: float, kappa: SmoothFn1,
                                 scale: float | None = None) -> tuple:
     """The solution family as fields of the (canonical) barred coordinates.
 
-    Uses the closed-form chart inverse u = a + r sin((ubar + vbar) /
-    (sqrt(2) scale)); partials follow from the chain rule, never from
-    numerical inversion.  Returns (lambda, mu, nu, scale).
+    u comes from the closed-form chart inverse at U = (ubar + vbar) /
+    (sqrt(2) scale), which raises :class:`ChartDomain` outside its image;
+    partials follow from the chain rule, never from numerical inversion.
+    Returns (lambda, mu, nu, scale).
     """
     if scale is None:
         scale = canonical_scale(a, b)
-    r = math.sqrt(a * a + b)
+    _, u_from_U = _arcsin_chart(a, b)
     raw = solution_family(a, b, kappa, audit=False)
     s2 = _SQRT2 * scale
 
@@ -504,10 +516,7 @@ def transported_solution_family(a: float, b: float, kappa: SmoothFn1,
         def partials(ub, vb):
             ub = np.asarray(ub, dtype=float)
             vb = np.asarray(vb, dtype=float)
-            w = (ub + vb) / s2
-            if np.any(np.abs(w) >= math.pi / 2):
-                raise ChartDomain("barred point maps outside the profile")
-            u = a + r * np.sin(w)
+            u = u_from_U((ub + vb) / s2)
             f = np.sqrt(b + 2.0 * a * u - u * u)
             return _to_barred(fieldobj.partials(u, (ub - vb) / s2),
                               f, (a - u) / f, scale)
@@ -544,7 +553,7 @@ class ResidualReport:
     details: dict = field(default_factory=dict)
 
     def max_residual(self) -> float:
-        return max(eq.max_abs for eq in self.equations if eq.gating)
+        return max_abs(*(eq.max_abs for eq in self.equations if eq.gating))
 
     def to_json(self) -> dict:
         return json_safe({"system": self.system, "tol": self.tol,
@@ -568,8 +577,7 @@ def _rows(named_arrays, tol):
     eqs = []
     for name, arr, gating in named_arrays:
         arr = np.asarray(arr, dtype=float)
-        eqs.append(EquationResidual(name=name,
-                                    max_abs=float(np.max(np.abs(arr))),
+        eqs.append(EquationResidual(name=name, max_abs=max_abs(arr),
                                     rms=float(np.sqrt(np.mean(arr ** 2))),
                                     gating=gating))
     passed = all(e.max_abs <= tol for e in eqs if e.gating)

@@ -216,6 +216,23 @@ def test_pde_family_selector(tmp_path, capsys):
     assert main(["pde", "--config", cfg]) == 0
 
 
+def test_pde_integrates_no_directrix(monkeypatch, tmp_path):
+    # the residuals read the PNMC1 profile and the closed-form chart only
+    def refuse(*args, **kwargs):
+        raise AssertionError("pde integrated a directrix")
+
+    monkeypatch.setattr(cli, "curve_from_curvature", refuse)
+    for system in ("syst1", "fund"):
+        cfg = write_cfg(tmp_path / f"{system}.json", {
+            "system": system, "solution": "example1", "kappa": "sin-offset:2",
+            "epsilon": -1,
+            "grid": {"u_min": -0.9, "u_max": 2.9, "nu": 15,
+                     "v_min": 0.0, "v_max": TWO_PI, "nv": 15},
+            "tol": 1e-8,
+        })
+        assert main(["pde", "--config", cfg]) == 0
+
+
 def test_pde_unknown_solution(tmp_path):
     cfg = write_cfg(tmp_path / "pde5.json", {
         "system": "syst1", "solution": "mystery",
@@ -317,6 +334,10 @@ def test_thread_cap_env(monkeypatch, flat_cfg, tmp_path):
                  id="grid-nu-inf"),
     pytest.param("generate", lambda c: c["family"].update(sign_g=float("inf")),
                  id="sign_g-inf"),
+    pytest.param("verify", lambda c: c.update(tol=float("nan")), id="tol-nan"),
+    pytest.param("verify", lambda c: c.update(tol=float("inf")), id="tol-inf"),
+    pytest.param("pde", lambda c: c.update(system="syst1", solution="example1",
+                                           tol=float("nan")), id="pde-tol-nan"),
 ])
 def test_malformed_config_is_config_error(command, edit, cmc_cfg, tmp_path,
                                           capsys):
@@ -326,6 +347,20 @@ def test_malformed_config_is_config_error(command, edit, cmc_cfg, tmp_path,
     assert main([command, "--config", bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "pde"])
+@pytest.mark.parametrize("flag", ["inf", "nan"])
+def test_nonfinite_tol_flag_is_config_error(command, flag, cmc_cfg, tmp_path,
+                                            capsys):
+    # the config fails verify at its own tol; --tol inf must not pass it
+    cfg = json.loads(open(cmc_cfg).read())
+    cfg.update(tol=1e-300, system="syst1", solution="example1")
+    path = write_cfg(tmp_path / "tol.json", cfg)
+    assert main(["verify", "--config", path]) == 1
+    assert main([command, "--config", path, "--tol", flag]) == 2
+    err = capsys.readouterr().err
+    assert "tol must be positive and finite" in err and "Traceback" not in err
 
 
 def test_non_object_config_is_config_error(tmp_path, capsys):

@@ -325,6 +325,20 @@ def test_pnmc1_with_varying_kappa_still_parallel_h0():
     assert float(np.max(np.abs(dyh[0]))) > 0.1
 
 
+def test_a_nan_fails_the_verdict(monkeypatch):
+    # Python's max() drops a NaN that is not its first argument
+    surface, spec, grid = standard_instances()["ParallelH1"]
+    original = MeridianSurface.normal_derivative_H
+
+    def nan_dy(self, u, v):
+        dx, (dy1, dy2) = original(self, u, v)
+        return dx, (dy1, np.full(np.shape(dy2), np.nan))
+
+    monkeypatch.setattr(MeridianSurface, "normal_derivative_H", nan_dy)
+    verdict = verify_family(surface, spec, grid)
+    assert not verdict.passed and math.isnan(verdict.max_violation)
+
+
 def test_ode_stop_is_recorded_not_raised():
     # branch = -1 walks f down toward the radicand boundary
     p = make_parallel_H1(1.0, 0.0, float(np.cosh(0.5)), (0.0, 2.0), 1e-3,

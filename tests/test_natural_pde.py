@@ -47,6 +47,7 @@ from meridian4.natural_pde import (
     solution_family,
     transported_solution_family,
     _frame_fields,
+    _to_barred,
 )
 
 TWO_PI = 2 * np.pi
@@ -323,6 +324,35 @@ def test_chart_round_trip(pnmc1_surface):
         IsotropicChart.for_surface(pnmc1_surface).from_barred(0.1, 0.1)
 
 
+def test_chart_inverse_raises_outside_its_image(pnmc1_surface):
+    # U = arcsin(u) maps (-1, 1) onto (-pi/2, pi/2); sin would fold U = 2
+    # back to u = sin 2, whose own U is pi - 2
+    chart = IsotropicChart.for_minimal_family(pnmc1_surface, 0.0, 1.0)
+    for w in (1.6, 2.0, -2.0, np.nan, np.array([0.1, 2.0])):
+        half = np.sqrt(2.0) * np.asarray(w) / 2.0   # (ub + vb)/sqrt(2) = w
+        with pytest.raises(ChartDomain):
+            chart.from_barred(half, half)
+
+
+def test_transported_partials_invert_the_chart_in_closed_form():
+    # reference: the inverse u = a + r sin(w) written out, then the chain rule
+    a, b, kap = 1.0, 3.0, sin_offset_fn(2.0)
+    tl, tm, tn, scale = transported_solution_family(a, b, kap)
+    chart = IsotropicChart.for_minimal_family(
+        MeridianSurface(profile=make_pnmc1(a, b), directrix=great_circle()),
+        a, b)
+    ub, vb = chart.to_barred(*Grid2(-0.9, 2.9, 40, 0.0, 6.2832, 40).mesh(),
+                             scale=scale)
+    s2 = np.sqrt(2.0) * scale
+    u = a + np.sqrt(a * a + b) * np.sin((ub + vb) / s2)
+    f = np.sqrt(b + 2.0 * a * u - u * u)
+    for got, raw in zip((tl, tm, tn), solution_family(a, b, kap, audit=False)):
+        want = _to_barred(raw.partials(u, (ub - vb) / s2), f, (a - u) / f,
+                          scale)
+        for g, w in zip(got.partials(ub, vb), want):
+            assert np.array_equal(g, w)
+
+
 def test_chart_agrees_between_closed_and_quadrature(pnmc1_surface):
     closed = IsotropicChart.for_minimal_family(pnmc1_surface, 0.0, 1.0)
     quad = IsotropicChart.for_surface(pnmc1_surface)
@@ -568,6 +598,14 @@ def test_mu_vanishing_is_rejected():
     mu = _const_field(0.0)
     with pytest.raises(MuVanishes):
         residual_fund(lam, mu, nu, -1, Grid2(0, 1, 4, 0, 1, 4), tol=1e-8)
+
+
+def test_max_residual_propagates_a_nan():
+    eqs = tuple(EquationResidual(f"eq{i}", x, x)
+                for i, x in enumerate((1e-10, float("nan"), 1e-10)))
+    report = ResidualReport(system="syst1", equations=eqs, tol=1e-8,
+                            passed=False)
+    assert np.isnan(report.max_residual())
 
 
 def test_residual_report_json_writes_nonfinite_as_null():
