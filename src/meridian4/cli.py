@@ -54,7 +54,8 @@ from . import acceptance
 from .diffkit import Jet3, SmoothFn1, constant_fn, jet_fn, poly_fn, sin_offset_fn
 from .errors import MeridianError
 from .families import FamilySpec, build_profile, build_surface, verify_family
-from .geometry import MeridianSurface, curve_from_curvature, great_circle, latitude_circle
+from .geometry import (_E4, MeridianSurface, curve_from_curvature, great_circle,
+                       latitude_circle)
 from .grids import Grid2, json_safe
 from .natural_pde import (
     IsotropicChart,
@@ -178,23 +179,33 @@ def _build_surface(cfg: dict) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _sweep(surface: MeridianSurface, grid: Grid2) -> dict:
+    """The CSV columns of a grid, each held once: a column that depends
+    on u or v alone is a broadcast of its axis values, and z is a view of
+    four contiguous component planes, so ``z[..., c]`` is contiguous."""
     U, V = grid.mesh()
     sample = surface._raw(U, V)
-    E, F, G = sample.first_form()
     # The curvatures go through the public methods, whose calls the
     # benchmark traces; their inner products run on the factored fields,
-    # so of the (nu, nv, 4) arrays only z is built, for the writers.
-    k = surface.gauss_curvature(U, V)
+    # so no (nu, nv, 4) array is built for them.  They go first, while
+    # few columns are held: their temporaries set the sweep's peak.
+    k = surface.gauss_curvature(U, V).frame_route
     kperp = surface.normal_curvature(U, V)
-    mc = surface.mean_curvature(U, V)
-    h1 = np.broadcast_to(mc.h1, E.shape)
-    h2 = np.broadcast_to(mc.h2, E.shape)
-    z = np.broadcast_to(sample.z, E.shape + (4,))
+    h1, h2 = surface.mean_curvature(U, V)[:2]     # drops the jet route
+    E, F, G = sample.first_form()
+    shape = E.shape
+    # z = alpha P + beta e4, one plane per component, as _Factor.ambient
+    # evaluates it: the same operations, so the same bits
+    alpha, P, beta = sample._factors["z"]
+    planes = np.empty((4,) + shape)
+    for c, plane in enumerate(planes):
+        np.multiply(alpha, P[..., c], out=plane)
+        plane += beta * _E4[c]
     return {
-        "U": np.broadcast_to(U, E.shape), "V": np.broadcast_to(V, E.shape),
-        "z": z, "E": E, "F": F, "G": G,
-        "K": np.broadcast_to(k.frame_route, E.shape), "Kperp": kperp,
-        "h1": h1, "h2": h2, "Hnormsq": h1 ** 2 + h2 ** 2,
+        "U": np.broadcast_to(U, shape), "V": np.broadcast_to(V, shape),
+        "z": np.moveaxis(planes, 0, -1), "E": E, "F": F, "G": G,
+        "K": np.broadcast_to(k, shape), "Kperp": kperp,
+        "h1": np.broadcast_to(h1, shape), "h2": np.broadcast_to(h2, shape),
+        "Hnormsq": np.broadcast_to(h1 ** 2 + h2 ** 2, shape),
     }
 
 
@@ -209,9 +220,9 @@ _BLOCK_ROWS = 8192
 _CAUSAL_NAMES = np.array(["spacelike", "timelike", "lightlike"], dtype=object)
 
 
-def _causal_names(q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _causal_names(q: np.ndarray, tol: float = 1e-10) -> list:
     """Causal class of each squared norm; |q| <= tol (or NaN) is lightlike."""
-    return _CAUSAL_NAMES[np.where(q > tol, 0, np.where(q < -tol, 1, 2))]
+    return _CAUSAL_NAMES[np.where(q > tol, 0, np.where(q < -tol, 1, 2))].tolist()
 
 
 #: One %-conversion of a row template: flags, width, precision, type.
@@ -223,55 +234,81 @@ class _Distinct:
 
     Values are told apart by their bit patterns, so -0.0 and 0.0 (and NaNs
     with different payloads) keep their own text.  np.sort and a diff find
-    them: np.unique would import numpy.ma (about 1 MiB and 10-20 ms).
+    them: np.unique would import numpy.ma (about 1 MiB and 10-20 ms).  An
+    entry (text, pointer, bits) takes about ten times the 8 bytes of a
+    value, so only a column with at most an eighth of its values distinct
+    gets a table, which then holds at most about 1.25 columns' worth.
     """
 
     def __init__(self, bits: np.ndarray, spec: str):
         self.bits = bits        # sorted distinct bit patterns
+        # a memoryview yields one float at a time: no list of them all
         self.text = np.array([spec % x for x in
-                              bits.view(np.float64).tolist()], dtype=object)
+                              memoryview(bits.view(np.float64))], dtype=object)
 
     @classmethod
     def of(cls, col: np.ndarray, spec: str):
-        """The table of a float column with at most half its values
-        distinct; None for any other column."""
+        """The table of a float column with at most an eighth of its
+        values distinct; None for any other column."""
         if col.dtype != np.float64:
             return None
-        bits = np.sort(col.view(np.int64))
+        bits = np.sort(col.view(np.int64), axis=None)
         new = np.empty(len(bits), dtype=bool)
         new[:1] = True
         np.not_equal(bits[1:], bits[:-1], out=new[1:])
-        distinct = bits[new]
-        return cls(distinct, spec) if 2 * len(distinct) <= len(bits) else None
+        if 8 * np.count_nonzero(new) > len(bits):
+            return None
+        bits = bits[new]        # frees the sorted copy before the text
+        del new
+        return cls(bits, spec)
 
-    def strings(self, block: np.ndarray) -> list:
-        """The text of each value of a block of the column."""
+    def strings(self, part: np.ndarray) -> list:
+        """The text of each value of a part of the column."""
         return self.text[np.searchsorted(self.bits,
-                                         block.view(np.int64))].tolist()
+                                         part.view(np.int64))].tolist()
+
+
+def _flat_slice(col: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Entries s..e-1 of a 2-D column in row-major order.  Of a broadcast
+    or strided column only the rows holding them are copied, and of a
+    contiguous one nothing."""
+    n = col.shape[1]
+    i = s // n
+    return col[i:-(-e // n)].ravel()[s - i * n:e - i * n]
 
 
 def _row_blocks(template: str, cols: list, sep: str = ""):
-    """Yield ``template % row`` over the rows of equal-length flat columns.
+    """Yield ``template % row`` over the rows of equal-shape columns.
 
-    Rows are formatted _BLOCK_ROWS at a time and joined by ``sep``, which
-    also separates consecutive blocks.  A float column with at most half
-    its values distinct (see :class:`_Distinct`) is formatted once per
-    distinct value and enters its rows as text through a ``%s``; the
-    bytes are those of ``template % row`` either way.
+    A column is a 2-D array, read in row-major order, or a pair (text,
+    array) whose ``text(part)`` gives the strings of a part of the array
+    for a ``%s``.  Rows are formatted _BLOCK_ROWS at a time, by one ``%``
+    of the row template repeated, and joined by ``sep``, which also
+    separates consecutive blocks.  A float column with few distinct values
+    (see :class:`_Distinct`) is formatted once per distinct value and
+    enters its rows as text through a ``%s``; the bytes are those of
+    ``template % row`` either way.
     """
     specs = _SPEC.findall(template)
     literals = _SPEC.split(template)
-    tables = [_Distinct.of(c, spec) for c, spec in zip(cols, specs)]
+    texts = []
+    for c, spec in zip(cols, specs):
+        if not isinstance(c, tuple):
+            table = _Distinct.of(c, spec)
+            c = (None if table is None else table.strings, c)
+        texts.append(c)
     row = literals[0] + "".join(
-        (spec if t is None else "%s") + lit
-        for t, spec, lit in zip(tables, specs, literals[1:]))
-    n = len(cols[0])
+        (spec if text is None else "%s") + lit
+        for (text, _), spec, lit in zip(texts, specs, literals[1:]))
+    n, width = texts[0][1].size, len(texts)
     for s in range(0, n, _BLOCK_ROWS):
-        rows = zip(*[c[s:s + _BLOCK_ROWS].tolist() if t is None
-                     else t.strings(c[s:s + _BLOCK_ROWS])
-                     for t, c in zip(tables, cols)])
-        text = sep.join(map(row.__mod__, rows))
-        yield sep + text if s else text
+        e = min(s + _BLOCK_ROWS, n)
+        values = [None] * (width * (e - s))     # the block's cells, row-major
+        for k, (text, c) in enumerate(texts):
+            part = _flat_slice(c, s, e)
+            values[k::width] = part.tolist() if text is None else text(part)
+        block = sep.join([row] * (e - s)) % tuple(values)
+        yield sep + block if s else block
 
 
 def _csv_template(n_floats: int, n_strings: int = 0) -> str:
@@ -280,33 +317,63 @@ def _csv_template(n_floats: int, n_strings: int = 0) -> str:
 
 
 def _grid_columns(sweep: dict) -> list:
-    """The 14 numeric CSV columns of a sweep, flattened in row-major order."""
+    """The 14 numeric CSV columns of a sweep, as the sweep holds them."""
     z = sweep["z"]
-    return ([np.ravel(sweep["U"]), np.ravel(sweep["V"])]
-            + [np.ravel(z[..., c]) for c in range(4)]
-            + [np.ravel(sweep[k]) for k in
+    return ([sweep["U"], sweep["V"]] + [z[..., c] for c in range(4)]
+            + [sweep[k] for k in
                ("E", "F", "G", "K", "Kperp", "h1", "h2", "Hnormsq")])
 
 
 def _write_csv(path: Path, sweep: dict):
     cols = _grid_columns(sweep)
-    cols += [_causal_names(cols[6]), _causal_names(cols[8])]
+    cols += [(_causal_names, cols[6]), (_causal_names, cols[8])]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         fh.writelines(_row_blocks(_csv_template(14, 2), cols))
 
 
+#: 10, 100, ..., 10**18: a positive int64 x has searchsorted(x, "right") + 1
+#: decimal digits.
+_POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _face_lines(nu: int, nv: int):
+    """Yield the bytes of the OBJ lines ``f a b c d`` of the grid's quads.
+
+    Face k of row i, column j has the corners a = i nv + j + 1, a + nv,
+    a + nv + 1 and a + 1.  Faces go _BLOCK_ROWS at a time.  Each corner
+    grows with k, and so does its digit count; a block therefore splits
+    into runs of lines of one width, and each run is a (lines, width)
+    matrix of ASCII bytes whose digits come from repeated divmod by 10.
+    """
+    n = (nu - 1) * (nv - 1)
+    for s in range(0, n, _BLOCK_ROWS):
+        i, j = np.divmod(np.arange(s, min(s + _BLOCK_ROWS, n)), nv - 1)
+        a = i * nv + j + 1
+        corners = (a, a + nv, a + nv + 1, a + 1)
+        digits = [np.searchsorted(_POWERS_OF_10, c, "right") + 1
+                  for c in corners]
+        cuts = [0, *(np.flatnonzero(np.diff(sum(digits))) + 1), len(a)]
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            widths = [int(d[r0]) for d in digits]
+            lines = np.full((r1 - r0, sum(widths) + 6), ord(" "), np.uint8)
+            lines[:, 0], lines[:, -1] = ord("f"), ord("\n")
+            end = 1
+            for c, w in zip(corners, widths):
+                c, end = c[r0:r1], end + 1 + w
+                for p in range(end - 1, end - 1 - w, -1):
+                    c, lines[:, p] = np.divmod(c, 10)
+                lines[:, end - w:end] += ord("0")
+            yield lines.tobytes()
+
+
 def _write_obj(path: Path, sweep: dict):
     z = sweep["z"]
-    nu, nv = z.shape[:2]
-    i, j = np.divmod(np.arange((nu - 1) * (nv - 1)), nv - 1)
-    a = i * nv + j + 1
-    b = a + nv
-    with open(path, "w") as fh:
-        fh.write("# parametric surface export, y-up, vertices + quads\n")
-        fh.writelines(_row_blocks("v %.9g %.9g %.9g\n",
-                                  [np.ravel(z[..., c]) for c in (0, 3, 1)]))
-        fh.writelines(_row_blocks("f %d %d %d %d\n", [a, b, b + 1, a + 1]))
+    with open(path, "wb") as fh:
+        fh.write(b"# parametric surface export, y-up, vertices + quads\n")
+        fh.writelines(block.encode() for block in _row_blocks(
+            "v %.9g %.9g %.9g\n", [z[..., c] for c in (0, 3, 1)]))
+        fh.writelines(_face_lines(*z.shape[:2]))
 
 
 def _write_grid_json(path: Path, echo: dict, columns: list, cols: list):
@@ -385,7 +452,7 @@ def cmd_geomfuncs(cfg: dict, out_dir: Path, fmt: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     U, V = grid.mesh()
     gf = geometric_functions(surface, U, V)
-    cols = [np.ravel(c) for c in np.broadcast_arrays(U, V, *gf.as_array())]
+    cols = np.broadcast_arrays(U, V, *gf.as_array())
     if fmt == "json":
         _write_grid_json(out_dir / "geomfuncs.json", cfg, GEOMFUNC_COLUMNS,
                          cols)

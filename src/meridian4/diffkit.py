@@ -249,18 +249,29 @@ def _as_jet(x) -> Jet3:
 
 # elementary functions for expressions that run on floats and on jets alike
 
+# A Python float stays a Python float, with NaN where numpy gives NaN: a
+# numpy scalar would make every later step of the RK4 march numpy-scalar
+# arithmetic, several times slower.  math.sqrt and math.sin round as
+# np.sqrt and np.sin do; math.log does not always, so log keeps np.log.
+
 def sqrt(x):
     """np.sqrt of a float or an array; Jet3.sqrt of a jet."""
+    if type(x) is float:
+        return math.sqrt(x) if x >= 0.0 else math.nan
     return x.sqrt() if isinstance(x, Jet3) else np.sqrt(x)
 
 
 def log(x):
     """np.log of a float or an array; Jet3.log of a jet."""
+    if type(x) is float:
+        return float(np.log(x))
     return x.log() if isinstance(x, Jet3) else np.log(x)
 
 
 def sin(x):
     """np.sin of a float or an array; Jet3.sin of a jet."""
+    if type(x) is float:
+        return math.sin(x) if math.isfinite(x) else math.nan
     return x.sin() if isinstance(x, Jet3) else np.sin(x)
 
 

@@ -268,12 +268,17 @@ def closed_geometric_functions_pnmc2(c: float, a: float, kappa: float,
 
 def _arcsin_chart(a: float, b: float) -> tuple:
     """The closed-form maps (U, u_from_U) of f = sqrt(-u^2 + 2 a u + b):
-    U(u) = arcsin((u - a) / r) with U' = 1/f, and u = a + r sin(w), which
-    raises :class:`ChartDomain` unless |w| < pi/2 (a NaN w included)."""
+    U(u) = arcsin((u - a) / r) with U' = 1/f, which raises
+    :class:`ChartDomain` unless |u - a| < r, the profile interval, and
+    u = a + r sin(w), which raises it unless |w| < pi/2 (a NaN u or w
+    included in either case)."""
     r = _minimal_radius(a, b)
 
     def U(u):
-        return np.arcsin((np.asarray(u, dtype=float) - a) / r)
+        x = np.asarray(u, dtype=float) - a
+        if not np.all(np.abs(x) < r):
+            raise ChartDomain("point outside the profile interval")
+        return np.arcsin(x / r)
 
     def u_from_U(w):
         w = np.asarray(w, dtype=float)
@@ -317,8 +322,9 @@ class IsotropicChart:
     def for_minimal_family(cls, surface: MeridianSurface, a: float,
                            b: float) -> "IsotropicChart":
         """Closed-form chart for profiles f = sqrt(-u^2 + 2 a u + b), with
-        U(u) = arcsin((u - a) / r); the inverse raises :class:`ChartDomain`
-        for |U| >= pi/2, outside the image of the profile interval."""
+        U(u) = arcsin((u - a) / r).  U raises :class:`ChartDomain` outside
+        the profile interval |u - a| < r, and the inverse for |U| >= pi/2,
+        outside U's image."""
         U, u_from_U = _arcsin_chart(a, b)
         return cls(surface=surface, U=U, u_from_U=u_from_U,
                    name=f"arcsin(a={a},b={b})")
@@ -584,17 +590,20 @@ def _rows(named_arrays, tol):
     return tuple(eqs), passed
 
 
-def _nonvanishing(m: Partials2, tol):
-    """mu's values, after checking that |mu| > tol at every point."""
+def _nonvanishing(m: Partials2):
+    """mu's values, after checking that ln|mu| and its partials can be
+    formed: mu^2 is not 0 (mu = 0, or small enough that 1/mu^2 is
+    infinite).  The residual tolerance plays no part; a NaN mu is left to
+    the residuals, whose verdict it fails."""
     mval = np.asarray(m.f, dtype=float)
-    if np.any(np.abs(mval) <= tol):
-        raise MuVanishes("mu vanishes (to tolerance) on the grid")
+    if np.any(mval * mval == 0.0):
+        raise MuVanishes("mu vanishes on the grid: 1/mu^2 is not finite")
     return mval
 
 
-def _ln_abs(m: Partials2, tol) -> Partials2:
+def _ln_abs(m: Partials2) -> Partials2:
     """Partials of ln|mu| from those of mu."""
-    mval = _nonvanishing(m, tol)
+    mval = _nonvanishing(m)
     m2 = mval ** 2
     return Partials2(np.log(np.abs(mval)), m.du / mval, m.dv / mval,
                      (m.duu * mval - m.du ** 2) / m2,
@@ -604,7 +613,7 @@ def _ln_abs(m: Partials2, tol) -> Partials2:
 
 def _fund_rows(lam: Partials2, mu: Partials2, nu: Partials2, eps: int, tol):
     """Residual rows of the three equations of the fundamental system."""
-    ln = _ln_abs(mu, tol)
+    ln = _ln_abs(mu)
     r1 = nu.du + lam.dv - lam.f * ln.dv
     r2 = lam.du - eps * nu.dv - lam.f * ln.du
     r3 = np.abs(mu.f) * ln.duv + nu.f ** 2 + eps * (lam.f ** 2 + mu.f ** 2)
@@ -646,7 +655,7 @@ def residual_degenerate(lam: ScalarField2, mu: ScalarField2,
     """
     U, V, echo = _grid_points(grid)
     lam_p, mu_p, nu_p = (x.partials(U, V) for x in (lam, mu, nu))
-    ln = _ln_abs(mu_p, tol)
+    ln = _ln_abs(mu_p)
     r1 = nu_p.du + lam_p.dv - lam_p.f * ln.dv
     r2 = np.abs(mu_p.f) * ln.duv + nu_p.f ** 2
     diag = nu_p.dv + 0.0 * mu_p.f
@@ -687,7 +696,7 @@ def residual_syst1(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
     U, V, echo = _grid_points(grid)
     fj = chart.surface.profile.jets(U).f
     mp = mu.partials(U, V)
-    mval = _nonvanishing(mp, tol)
+    mval = _nonvanishing(mp)
 
     if normalize:
         const = np.abs(mval) * fj.f ** 2

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -233,6 +234,20 @@ def test_pde_integrates_no_directrix(monkeypatch, tmp_path):
         assert main(["pde", "--config", cfg]) == 0
 
 
+def test_loose_pde_tol_does_not_declare_mu_zero(tmp_path, capsys):
+    # |mu| is about 1 on this grid; a residual tolerance of 1e10 passes
+    # every residual and says nothing about whether mu vanishes
+    cfg = write_cfg(tmp_path / "loose.json", {
+        "system": "syst1", "solution": "example1", "kappa": "sin-offset:2",
+        "grid": {"u_min": -0.9, "u_max": 2.9, "nu": 40,
+                 "v_min": 0.0, "v_max": 6.2832, "nv": 40},
+        "tol": 1e-8,
+    })
+    assert main(["pde", "--config", cfg, "--tol", "1e10"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["report"]["passed"] is True
+
+
 def test_pde_unknown_solution(tmp_path):
     cfg = write_cfg(tmp_path / "pde5.json", {
         "system": "syst1", "solution": "mystery",
@@ -447,9 +462,25 @@ def _cmc_200(cmc_cfg):
 def test_sweep_builds_no_ambient_arrays_of_the_grid(cmc_cfg):
     # the invariants take inner products of factored fields, so the sweep
     # holds its output columns, z and a few grid-sized temporaries; an
-    # invariant that built (nu, nv, 4) fields would read about 50 grids
+    # invariant that built (nu, nv, 4) fields would read about 50 grids.
+    # It reads 12.8: the curvature temporaries peak while the sweep holds
+    # only K, Kperp and h1, and z is built once, as four planes
     surface, _, grid = _cmc_200(cmc_cfg)
-    assert _peak_grids(lambda: cli._sweep(surface, grid), grid) <= 24
+    assert _peak_grids(lambda: cli._sweep(surface, grid), grid) <= 13
+
+
+@pytest.mark.parametrize("write", ["_write_csv", "_write_obj"])
+def test_writers_hold_no_copy_of_the_grid(write, cmc_cfg, tmp_path,
+                                          monkeypatch):
+    # the writers read the sweep's columns in place and copy one block
+    # of rows at a time, so the peak above the sweep is the distinct-value
+    # tables and one block: CSV 3.1 and OBJ 1.2 grids; flattened copies
+    # of the columns read 14.3 and 9.2
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 512)
+    surface, _, grid = _cmc_200(cmc_cfg)
+    sweep = cli._sweep(surface, grid)
+    run = getattr(cli, write)
+    assert _peak_grids(lambda: run(tmp_path / "out", sweep), grid) <= 4
 
 
 def test_geometric_functions_build_no_ambient_arrays_of_the_grid(cmc_cfg):
@@ -624,6 +655,28 @@ def test_writers_match_reference_bytes(name, block_rows, tmp_path,
         cells = ref_csv.decode().split("\r\n")[1].split(",")
         assert "-0" in cells and "lightlike" in cells
         assert any("e-" in c for c in cells)
+
+
+@settings(deadline=None, max_examples=60)
+@given(nu=st.integers(2, 60), nv=st.integers(2, 60),
+       block_rows=st.sampled_from([1, 7, cli._BLOCK_ROWS]))
+@example(nu=2, nv=2, block_rows=1)
+@example(nu=4, nv=4, block_rows=7)       # corners cross 9 -> 10
+@example(nu=60, nv=60, block_rows=7)     # and 99 -> 100, 999 -> 1000
+def test_face_digit_rows_match_reference_bytes(nu, nv, block_rows):
+    # every face line f a b c d, digit-width changes inside a block included
+    sweep = {"z": np.zeros((nu, nv, 4))}
+    old = cli._BLOCK_ROWS
+    cli._BLOCK_ROWS = block_rows
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._write_obj(Path(tmp) / "got.obj", sweep)
+            _ref_write_obj(Path(tmp) / "ref.obj", sweep)
+            got = (Path(tmp) / "got.obj").read_bytes()
+            assert got == (Path(tmp) / "ref.obj").read_bytes()
+    finally:
+        cli._BLOCK_ROWS = old
+    assert got.count(b"\nf ") == (nu - 1) * (nv - 1)
 
 
 @pytest.mark.parametrize("block_rows", [None, 7])

@@ -15,6 +15,7 @@ from meridian4.diffkit import (
     MAX_STEPS,
     CumulativeQuadrature,
     expr_fn,
+    log,
     sin,
     sqrt,
     step_count,
@@ -382,6 +383,24 @@ def test_jet_only_phi_integrates_like_its_float_expression():
     u = np.linspace(0.0, 1.0, 37)
     for x, y in zip(a.jet_at(u).derivatives(), b.jet_at(u).derivatives()):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("fn, ref", [(sqrt, np.sqrt), (sin, np.sin),
+                                     (log, np.log)])
+def test_elementary_functions_keep_python_floats(fn, ref):
+    # a numpy scalar would turn the rest of an RK4 march into slow
+    # numpy-scalar arithmetic; the value must be numpy's, bit for bit
+    xs = [0.0, -0.0, 5e-324, 1e-300, 0.5, 2.0, 1e300, -1.0, np.inf, -np.inf,
+          np.nan, *np.random.default_rng(5).uniform(-60.0, 60.0, 2000)]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for x in map(float, xs):
+            got, want = fn(x), ref(x)
+            assert type(got) is float
+            assert (np.isnan(got) and np.isnan(want)) or (
+                np.float64(got).view(np.int64) == want.view(np.int64)), x
+    phi = expr_fn(lambda t: sqrt(t * t - 1.0) * log(t) + sin(t),
+                  Interval(1.0, 1e9))
+    assert type(phi.eval_value(1.5)) is float
 
 
 def test_ode_invalid_initial_state():

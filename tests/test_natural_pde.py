@@ -324,6 +324,17 @@ def test_chart_round_trip(pnmc1_surface):
         IsotropicChart.for_surface(pnmc1_surface).from_barred(0.1, 0.1)
 
 
+def test_chart_raises_outside_the_profile_interval():
+    # U = arcsin(u) is defined on the profile interval (-1, 1) only; past
+    # it, arcsin gave NaN coordinates with a RuntimeWarning
+    chart = IsotropicChart.for_minimal_family(None, 0.0, 1.0)
+    assert np.all(np.isfinite(chart.to_barred(np.array([-0.99, 0.3, 0.99]),
+                                              0.5)))
+    for u in (1.5, 1.0, -1.0, -3.0, np.nan, np.array([0.1, 2.0])):
+        with pytest.raises(ChartDomain):
+            chart.to_barred(u, 0.5)
+
+
 def test_chart_inverse_raises_outside_its_image(pnmc1_surface):
     # U = arcsin(u) maps (-1, 1) onto (-pi/2, pi/2); sin would fold U = 2
     # back to u = sin 2, whose own U is pi - 2
@@ -598,6 +609,17 @@ def test_mu_vanishing_is_rejected():
     mu = _const_field(0.0)
     with pytest.raises(MuVanishes):
         residual_fund(lam, mu, nu, -1, Grid2(0, 1, 4, 0, 1, 4), tol=1e-8)
+
+
+def test_mu_vanishing_does_not_depend_on_tol():
+    # ln|mu| and its partials exist wherever 1/mu^2 is finite, whatever
+    # the residual tolerance; mu^2 underflows to 0 below about 1e-162
+    lam, nu = _zero_field(), _zero_field()
+    grid = Grid2(0, 1, 4, 0, 1, 4)
+    rep = residual_fund(lam, _const_field(1e-3), nu, -1, grid, tol=1.0)
+    assert rep.passed
+    with pytest.raises(MuVanishes):
+        residual_fund(lam, _const_field(1e-200), nu, -1, grid, tol=1e-8)
 
 
 def test_max_residual_propagates_a_nan():
