@@ -9,6 +9,7 @@ Grids are deterministic (fixed seeds), so reruns are bit-reproducible.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -267,11 +268,13 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """Frame Gram deviations at 100 random points per surface, one batch."""
-    rng = np.random.default_rng(RNG_SEED)
+    # the standard library's generator: numpy.random costs about 6 MiB
+    # and 10 ms to import, and this is its only use
+    rng = random.Random(RNG_SEED)
     frame_devs, iso_devs = [], []
     for tag, (surface, _, grid) in standard_instances().items():
-        us = rng.uniform(grid.u_min, grid.u_max, 100)
-        vs = rng.uniform(grid.v_min, grid.v_max, 100)
+        us = np.array([rng.uniform(grid.u_min, grid.u_max) for _ in range(100)])
+        vs = np.array([rng.uniform(grid.v_min, grid.v_max) for _ in range(100)])
         frame_devs.append(verify_frame(surface.frame(us, vs).labeled(),
                                        FRAME_GRAM).max_deviation)
         if tag != "Minimal":

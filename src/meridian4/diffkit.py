@@ -98,6 +98,17 @@ class Interval:
             return bool(np.all(u >= self.lo) and np.all(u <= self.hi))
         return bool(np.all(u > self.lo) and np.all(u < self.hi))
 
+    def require(self, u, name: str, what: str) -> None:
+        """Raise :class:`OutOfDomain` unless all of u lies inside, naming
+        the first value outside (C order) rather than the whole array."""
+        if self.contains(u):
+            return
+        u = np.ravel(np.asarray(u, dtype=float))
+        inside = ((u >= self.lo) & (u <= self.hi) if self.closed
+                  else (u > self.lo) & (u < self.hi))
+        bad = u[np.argmin(inside)]      # the first False; a NaN is outside
+        raise OutOfDomain(f"{name}={bad} outside {what} {self}")
+
     def __str__(self) -> str:
         ends = "[]" if self.closed else "()"
         return f"{ends[0]}{self.lo}, {self.hi}{ends[1]}"
@@ -313,9 +324,7 @@ class SmoothFn1:
         return self.expr(_floats(u))
 
     def _check(self, u) -> None:
-        if not self.domain.contains(u):
-            raise OutOfDomain(f"{self.name or 'function'} evaluated at {u} "
-                              f"outside {self.domain}")
+        self.domain.require(u, "u", f"the domain of {self.name or 'function'}")
 
 
 def jet_fn(expr: Callable[[Jet3], Jet3], domain: Interval = Interval(),
@@ -553,8 +562,7 @@ class OdeSolution:
         so equation-derived jets at nodes are reproducible.
         """
         u = np.asarray(u, dtype=float)
-        if not self.domain.contains(u):
-            raise OutOfDomain(f"u={u} outside realized range {self.domain}")
+        self.domain.require(u, "u", "realized range")
         with _quiet():
             out = _dense_output(lambda _, f: self.phi.eval_value(f), self.u0,
                                 self.h, self.values, u)

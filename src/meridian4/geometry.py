@@ -55,7 +55,7 @@ from .diffkit import (
     constant_fn,
     step_count,
 )
-from .errors import InconsistentGeometry, MinimalPoint, NonpositiveProfile, OutOfDomain
+from .errors import InconsistentGeometry, MinimalPoint, NonpositiveProfile
 from .minkowski import CausalClass, Vec4M, causal_character, minkowski_inner
 
 __all__ = [
@@ -137,8 +137,7 @@ class SphericalCurve:
 
     def data(self, v) -> CurveData:
         v = np.asarray(v, dtype=float)
-        if not self.domain.contains(v):
-            raise OutOfDomain(f"v={v} outside directrix domain {self.domain}")
+        self.domain.require(v, "v", "directrix domain")
         jets = self.components(v)
         l, t, tp, tpp = ([getattr(j, d) for j in jets]
                          for d in ("f", "d1", "d2", "d3"))
@@ -289,8 +288,7 @@ class MeridianProfile:
 
     def jets(self, u) -> ProfileJets:
         u = np.asarray(u, dtype=float)
-        if not self.domain.contains(u):
-            raise OutOfDomain(f"u={u} outside profile domain {self.domain}")
+        self.domain.require(u, "u", "profile domain")
         return ProfileJets(self.f_eval(u), self.g_eval(u))
 
     @property

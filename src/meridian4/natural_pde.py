@@ -191,8 +191,18 @@ def geometric_functions(surface: MeridianSurface, u, v,
         return (*((r * c, k) for c, k in du),
                 *((sign * r_f * c, k) for c, k in dv))
 
+    pairs = {}
+
+    def pair(i, j):
+        """<F_i, F_j>, once per unordered pair: _inner is symmetric bit for
+        bit, since every product in it commutes."""
+        key = (i, j) if i <= j else (j, i)
+        if key not in pairs:
+            pairs[key] = _inner(fa[key[0]], fa[key[1]])
+        return pairs[key]
+
     def inner(a, b):
-        val = sum(c * d * _inner(fa[i], fa[j]) for c, i in a for d, j in b)
+        val = sum(c * d * pair(i, j) for c, i in a for d, j in b)
         return float(val) if np.ndim(val) == 0 else val
 
     x, y, n1, n2 = (fields[k][0] for k in ("x", "y", "n1", "n2"))
@@ -518,20 +528,29 @@ def transported_solution_family(a: float, b: float, kappa: SmoothFn1,
     raw = solution_family(a, b, kappa, audit=False)
     s2 = _SQRT2 * scale
 
-    def make(fieldobj: ScalarField2) -> ScalarField2:
+    def transport(raw_partials):
         def partials(ub, vb):
             ub = np.asarray(ub, dtype=float)
             vb = np.asarray(vb, dtype=float)
             u = u_from_U((ub + vb) / s2)
             f = np.sqrt(b + 2.0 * a * u - u * u)
-            return _to_barred(fieldobj.partials(u, (ub - vb) / s2),
+            return _to_barred(raw_partials(u, (ub - vb) / s2),
                               f, (a - u) / f, scale)
+        return partials
 
-        return ScalarField2(partials,
-                            name=f"{fieldobj.name}|barred(scale={scale:.6g})")
-
-    lam, mu, nu = (make(f) for f in raw)
+    lam, mu, nu = (ScalarField2(p, name=f"{f.name}|barred(scale={scale:.6g})")
+                   for f, p in zip(raw, _per_callable(raw, transport)))
     return lam, mu, nu, scale
+
+
+def _per_callable(fields, fn) -> list:
+    """fn(field.partials) for each field, once per distinct callable: the
+    solution family's nu shares lambda's."""
+    done = {}
+    for fieldobj in fields:
+        if fieldobj.partials not in done:
+            done[fieldobj.partials] = fn(fieldobj.partials)
+    return [done[f.partials] for f in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +655,8 @@ def residual_fund(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
     if eps not in (-1, 1):
         raise ValueError("eps must be +1 or -1")
     U, V, echo = _grid_points(grid)
-    eqs, passed = _fund_rows(lam.partials(U, V), mu.partials(U, V),
-                             nu.partials(U, V), eps, tol)
+    fields = _per_callable((lam, mu, nu), lambda p: p(U, V))
+    eqs, passed = _fund_rows(*fields, eps, tol)
     return ResidualReport(system="fund", equations=eqs, tol=tol,
                           passed=passed, epsilon=eps, grid=echo)
 
@@ -654,7 +673,7 @@ def residual_degenerate(lam: ScalarField2, mu: ScalarField2,
     diagnostic row that does not gate the verdict.
     """
     U, V, echo = _grid_points(grid)
-    lam_p, mu_p, nu_p = (x.partials(U, V) for x in (lam, mu, nu))
+    lam_p, mu_p, nu_p = _per_callable((lam, mu, nu), lambda p: p(U, V))
     ln = _ln_abs(mu_p)
     r1 = nu_p.du + lam_p.dv - lam_p.f * ln.dv
     r2 = np.abs(mu_p.f) * ln.duv + nu_p.f ** 2
@@ -695,7 +714,7 @@ def residual_syst1(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
     """
     U, V, echo = _grid_points(grid)
     fj = chart.surface.profile.jets(U).f
-    mp = mu.partials(U, V)
+    mp, lp, nup = _per_callable((mu, lam, nu), lambda p: p(U, V))
     mval = _nonvanishing(mp)
 
     if normalize:
@@ -708,8 +727,7 @@ def residual_syst1(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
     def barred(p):
         return _to_barred(p, fj.f, fj.d1, scale)
 
-    eqs, passed = _fund_rows(barred(lam.partials(U, V)), barred(mp),
-                             barred(nu.partials(U, V)), -1, tol)
+    eqs, passed = _fund_rows(barred(lp), barred(mp), barred(nup), -1, tol)
     return ResidualReport(system="syst1", equations=eqs, tol=tol,
                           passed=passed, epsilon=-1, grid=echo,
                           details={"scale": scale,

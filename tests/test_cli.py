@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from meridian4 import Grid2, cli
+from meridian4 import Grid2, cli, natural_pde
 from meridian4.cli import main
 from meridian4.natural_pde import geometric_functions
 
@@ -234,6 +235,47 @@ def test_pde_integrates_no_directrix(monkeypatch, tmp_path):
         assert main(["pde", "--config", cfg]) == 0
 
 
+def test_pde_fund_evaluates_lambda_once(monkeypatch, tmp_path):
+    # nu = lambda in the solution family: one callable, transported and
+    # evaluated once over the barred grid
+    family, calls = natural_pde.solution_family, []
+
+    def counted(*args, **kwargs):
+        fields = family(*args, **kwargs)
+        raw = fields[0].partials
+
+        def partials(u, v):
+            calls.append(np.shape(u))
+            return raw(u, v)
+        return tuple(dataclasses.replace(f, partials=partials)
+                     if f.partials is raw else f for f in fields)
+
+    monkeypatch.setattr(natural_pde, "solution_family", counted)
+    cfg = write_cfg(tmp_path / "fund.json", {
+        "system": "fund", "solution": "example1", "kappa": "sin-offset:2",
+        "epsilon": -1,
+        "grid": {"u_min": -0.9, "u_max": 2.9, "nu": 15,
+                 "v_min": 0.0, "v_max": TWO_PI, "nv": 15},
+        "tol": 1e-8,
+    })
+    assert main(["pde", "--config", cfg]) == 0
+    assert calls == [(15, 15)]
+
+
+def test_out_of_domain_error_names_one_value(tmp_path, capsys):
+    # u_max = 3.5 leaves the example1 profile's domain (-1, 3)
+    cfg = write_cfg(tmp_path / "far.json", {
+        "system": "syst1", "solution": "example1", "kappa": "sin-offset:2",
+        "grid": {"u_min": -0.9, "u_max": 3.5, "nu": 40,
+                 "v_min": 0.0, "v_max": TWO_PI, "nv": 40},
+        "tol": 1e-8,
+    })
+    assert main(["pde", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "outside profile domain (-1.0, 3.0)" in err
+
+
 def test_loose_pde_tol_does_not_declare_mu_zero(tmp_path, capsys):
     # |mu| is about 1 on this grid; a residual tolerance of 1e10 passes
     # every residual and says nothing about whether mu vanishes
@@ -269,14 +311,17 @@ def test_export_formats(flat_cfg, tmp_path, capsys):
     assert len(data["rows"]) == 144
 
 
+_GEOMFUNCS_CONFIG = {
+    "family": {"tag": "PNMC1", "a": 0.0, "b": 1.0, "kappa": 2.0,
+               "u_min": -0.9, "u_max": 0.9},
+    "directrix": {"kind": "latitude", "kappa": 2.0},
+    "grid": {"u_min": -0.8, "u_max": 0.8, "nu": 5,
+             "v_min": 0.0, "v_max": 6.0, "nv": 4},
+}
+
+
 def test_geomfuncs_csv(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "gf.json", {
-        "family": {"tag": "PNMC1", "a": 0.0, "b": 1.0, "kappa": 2.0,
-                   "u_min": -0.9, "u_max": 0.9},
-        "directrix": {"kind": "latitude", "kappa": 2.0},
-        "grid": {"u_min": -0.8, "u_max": 0.8, "nu": 5,
-                 "v_min": 0.0, "v_max": 6.0, "nv": 4},
-    })
+    cfg = write_cfg(tmp_path / "gf.json", _GEOMFUNCS_CONFIG)
     out = tmp_path / "gfout"
     assert main(["geomfuncs", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "geomfuncs.csv") as fh:
@@ -298,30 +343,37 @@ def test_selfcheck_passes(capsys):
     assert out.count("[PASS]") == 10
 
 
-def _imports_numpy_ma(argv) -> bool:
-    """Whether a fresh CLI process running argv imports numpy.ma; a fresh
-    process, since this one may have imported it already."""
-    code = ("import sys; from meridian4.cli import main; "
-            f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
+def _imported(argv, modules) -> list:
+    """Which of modules a fresh CLI process running argv imports; a fresh
+    process, since this one may have imported them already."""
+    code = ("import json, sys; from meridian4.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     path = [str(Path(__file__).resolve().parent.parent / "src"),
             os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_selfcheck_does_not_import_numpy_ma():
-    # np.median's NaN check imports numpy.ma, about 20 ms per process
-    assert not _imports_numpy_ma(["selfcheck"])
-
-
-def test_generate_does_not_import_numpy_ma(cmc_cfg, tmp_path):
-    # the writers find distinct values without np.unique, which imports
-    # numpy.ma (about 1 MiB of module data)
-    assert not _imports_numpy_ma(["generate", "--config", cmc_cfg,
-                                  "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("command", ["selfcheck", "generate", "verify",
+                                     "geomfuncs", "pde"])
+def test_command_imports_no_unused_numpy_module(command, cmc_cfg, tmp_path):
+    # numpy.random costs about 6 MiB and 10 ms to import, numpy.ma about
+    # 1 MiB and 10 ms; np.random.default_rng, np.median and np.unique
+    # import them, and no command needs them
+    config = {"generate": cmc_cfg, "verify": cmc_cfg,
+              "geomfuncs": write_cfg(tmp_path / "gf.json", _GEOMFUNCS_CONFIG),
+              "pde": write_cfg(tmp_path / "pde.json",
+                               _with(_PDE_SMALL, system="syst1"))}
+    argv = [command]
+    if command in config:
+        argv += ["--config", config[command]]
+    if command in ("generate", "geomfuncs"):
+        argv += ["--out", str(tmp_path / "o")]
+    assert _imported(argv, ["numpy.random", "numpy.ma"]) == []
 
 
 def test_thread_cap_env(monkeypatch, flat_cfg, tmp_path):

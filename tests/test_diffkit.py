@@ -107,6 +107,19 @@ def test_interval_is_open_unless_closed():
                     assert type(got) is bool and got == want, (iv, scalar)
 
 
+@pytest.mark.parametrize("closed, u, bad", [
+    (False, np.array([[0.5, 0.7], [1.0, 2.0]]), "1.0"),
+    (True, np.array([0.0, 1.0, 1.5, -3.0]), "1.5"),
+    (True, np.array([0.5, np.nan, 2.0]), "nan"),
+    (False, 0.0, "0.0"),
+])
+def test_require_names_the_first_value_outside(closed, u, bad):
+    iv = Interval(0.0, 1.0, closed)
+    with pytest.raises(OutOfDomain) as err:
+        iv.require(u, "u", "test domain")
+    assert str(err.value) == f"u={bad} outside test domain {iv}"
+    iv.require(np.array([0.25, 0.5]), "u", "test domain")
+
 # ---------------------------------------------------------------- SmoothFn1
 def test_smoothfn_domain_is_enforced():
     fn = jet_fn(lambda j: j.sqrt(), Interval(0.0, 4.0))

@@ -27,6 +27,7 @@ from meridian4.acceptance import standard_instances
 from meridian4.errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
                               MinimalPoint, MuVanishes)
 from meridian4.families import TAGS
+from meridian4 import natural_pde
 from meridian4.minkowski import minkowski_inner
 from meridian4.natural_pde import (
     ISOTROPIC_GRAM,
@@ -292,6 +293,51 @@ def test_factored_frame_functions_match_ambient_route(route_points, name,
         gap = np.abs(got[key] - ref)
         assert np.all(gap <= 1e-12 * (1.0 + np.abs(ref))), (
             key, np.max(gap / (1.0 + np.abs(ref))))
+
+
+def _uncached_geometric_functions(surface, u, v):
+    """geometric_functions with one _inner call per term pair, the sum the
+    once-per-pair route must match bit for bit."""
+    s, fields = _frame_fields(surface, u, v, MINIMAL_TOL)
+    fa = s._factors
+    r, r_f = 1.0 / np.sqrt(2.0), 1.0 / (np.sqrt(2.0) * s.f.f)
+
+    def along(name, sign):
+        _, du, dv = fields[name]
+        return (*((r * c, k) for c, k in du),
+                *((sign * r_f * c, k) for c, k in dv))
+
+    def inner(a, b):
+        return sum(c * d * natural_pde._inner(fa[i], fa[j])
+                   for c, i in a for d, j in b)
+
+    x, y, n1, n2 = (fields[k][0] for k in ("x", "y", "n1", "n2"))
+    nab_x_x, nab_y_y = along("x", 1.0), along("y", -1.0)
+    return np.array([
+        -inner(nab_x_x, y), -inner(nab_y_y, x), -inner(along("y", 1.0), n1),
+        inner(nab_x_x, n1), inner(nab_x_x, n2), inner(nab_y_y, n1),
+        inner(nab_y_y, n2), inner(along("n1", 1.0), n2),
+        inner(along("n1", -1.0), n2)])
+
+
+@pytest.mark.parametrize("tag, u_range", [("PNMC1", (-0.85, 0.85)),
+                                          ("PNMC2", (0.02, 0.78))])
+def test_geometric_functions_pair_each_factor_pair_once(monkeypatch, tag,
+                                                        u_range):
+    # acceptance criterion 7's grids; the nine functions read 70 term
+    # pairs over 21 distinct unordered factor pairs
+    surface = standard_instances()[tag][0]
+    U = np.linspace(*u_range, 5)[:, None]
+    V = np.linspace(0.2, 5.8, 5)[None, :]
+    want = _uncached_geometric_functions(surface, U, V)
+    calls = []
+    inner = natural_pde._inner
+    monkeypatch.setattr(natural_pde, "_inner",
+                        lambda a, b: calls.append(1) or inner(a, b))
+    got = geometric_functions(surface, U, V).as_array()
+    assert len(calls) <= 22
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- chart
