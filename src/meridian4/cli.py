@@ -46,6 +46,8 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -214,23 +216,31 @@ def _dumps(payload, **kw) -> str:
     return json.dumps(json_safe(payload), allow_nan=False, **kw)
 
 
-#: Rows formatted per write; bounds the text held in memory at once.
-_BLOCK_ROWS = 8192
+#: Output rows per write, rounded down to whole grid rows (at least one);
+#: bounds the text held in memory at once.
+_BLOCK_ROWS = 4096
 
 _CAUSAL_NAMES = np.array(["spacelike", "timelike", "lightlike"], dtype=object)
 
 
-def _causal_names(q: np.ndarray, tol: float = 1e-10) -> list:
-    """Causal class of each squared norm; |q| <= tol (or NaN) is lightlike."""
-    return _CAUSAL_NAMES[np.where(q > tol, 0, np.where(q < -tol, 1, 2))].tolist()
+def _causal_names(q: np.ndarray, tail: str = "", tol: float = 1e-10) -> list:
+    """Causal class of each squared norm, each name followed by ``tail``;
+    |q| <= tol (or NaN) is lightlike."""
+    return (_CAUSAL_NAMES + tail)[
+        np.where(q > tol, 0, np.where(q < -tol, 1, 2))].tolist()
 
 
 #: One %-conversion of a row template: flags, width, precision, type.
 _SPEC = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z]")
 
+#: Separates the cells in the ``%`` result of a block; no formatted value
+#: or template literal holds it.
+_SENTINEL = "\0"
+
 
 class _Distinct:
-    """The text of each distinct value of a float column, formatted once.
+    """The text of each distinct value of a float column, formatted once
+    and followed by the literal that follows the column in its row.
 
     Values are told apart by their bit patterns, so -0.0 and 0.0 (and NaNs
     with different payloads) keep their own text.  np.sort and a diff find
@@ -240,14 +250,14 @@ class _Distinct:
     gets a table, which then holds at most about 1.25 columns' worth.
     """
 
-    def __init__(self, bits: np.ndarray, spec: str):
+    def __init__(self, bits: np.ndarray, spec: str, tail: str):
         self.bits = bits        # sorted distinct bit patterns
         # a memoryview yields one float at a time: no list of them all
-        self.text = np.array([spec % x for x in
+        self.text = np.array([spec % x + tail for x in
                               memoryview(bits.view(np.float64))], dtype=object)
 
     @classmethod
-    def of(cls, col: np.ndarray, spec: str):
+    def of(cls, col: np.ndarray, spec: str, tail: str = ""):
         """The table of a float column with at most an eighth of its
         values distinct; None for any other column."""
         if col.dtype != np.float64:
@@ -260,7 +270,7 @@ class _Distinct:
             return None
         bits = bits[new]        # frees the sorted copy before the text
         del new
-        return cls(bits, spec)
+        return cls(bits, spec, tail)
 
     def strings(self, part: np.ndarray) -> list:
         """The text of each value of a part of the column."""
@@ -268,47 +278,137 @@ class _Distinct:
                                          part.view(np.int64))].tolist()
 
 
-def _flat_slice(col: np.ndarray, s: int, e: int) -> np.ndarray:
-    """Entries s..e-1 of a 2-D column in row-major order.  Of a broadcast
-    or strided column only the rows holding them are copied, and of a
-    contiguous one nothing."""
-    n = col.shape[1]
-    i = s // n
-    return col[i:-(-e // n)].ravel()[s - i * n:e - i * n]
+def _constant_along(col: np.ndarray, axis: int) -> bool:
+    """Whether a float column holds one bit pattern along each grid row
+    (axis 1) or along each grid column (axis 0)."""
+    if col.dtype != np.float64:
+        return False
+    bits = col.view(np.int64)
+    return bool(np.all(bits == (bits[:, :1] if axis else bits[:1])))
+
+
+def _row_texts(pieces: list, nu: int, template: bool = False) -> list:
+    """The text of a run of row pieces on each grid row.  A str piece is
+    the same on every row, a list holds one text per row, and a tuple is
+    a float's (conversion and literal, column).  As a ``template``, "%"
+    in text is doubled and the conversions are kept."""
+    per_row = []
+    for p in pieces:
+        if isinstance(p, tuple):
+            p = p[0]
+        elif template:
+            p = (p.replace("%", "%%") if isinstance(p, str)
+                 else [t.replace("%", "%%") for t in p])
+        per_row.append([p] * nu if isinstance(p, str) else p)
+    return ["".join(t) for t in zip(*per_row)]
+
+
+class _Floats:
+    """A run of a row that holds per-cell floats: one ``%`` per block.
+
+    The template of one cell is kept per grid row, with the text of the
+    run's row-constant columns and literals baked in.
+    """
+
+    def __init__(self, pieces: list, shape: tuple):
+        self.rows = _row_texts(pieces, shape[0], template=True)
+        self.floats = [p[1] for p in pieces if isinstance(p, tuple)]
+        self.nv = shape[1]
+
+    def text(self, r0: int, r1: int, joint: str = "") -> str:
+        """The text of the cells of grid rows r0..r1-1, joined by joint."""
+        fmt = joint.join([joint.join([t] * self.nv) for t in self.rows[r0:r1]])
+        m = len(self.floats)
+        values = [None] * (m * (r1 - r0) * self.nv)
+        for k, c in enumerate(self.floats):
+            values[k::m] = c[r0:r1].ravel().tolist()
+        return fmt % tuple(values)
+
+    def __call__(self, r0: int, r1: int) -> list:
+        """The text of each cell of grid rows r0..r1-1."""
+        return self.text(r0, r1, _SENTINEL).split(_SENTINEL)
+
+
+def _lookup(text, col: np.ndarray, r0: int, r1: int) -> list:
+    """The strings ``text`` gives for the cells of grid rows r0..r1-1."""
+    return text(col[r0:r1].ravel())
+
+
+def _repeat(rows: np.ndarray, nv: int, r0: int, r1: int) -> list:
+    """Each text of grid rows r0..r1-1, once per cell of its row."""
+    return np.repeat(rows[r0:r1], nv).tolist()
+
+
+def _tile(texts: list, r0: int, r1: int) -> list:
+    """The texts of one grid row, once per grid row r0..r1-1."""
+    return texts * (r1 - r0)
 
 
 def _row_blocks(template: str, cols: list, sep: str = ""):
-    """Yield ``template % row`` over the rows of equal-shape columns.
+    """Yield ``template % row`` over the cells of equal-shape 2-D columns,
+    in row-major order, joined by ``sep``, which also separates blocks.
 
-    A column is a 2-D array, read in row-major order, or a pair (text,
-    array) whose ``text(part)`` gives the strings of a part of the array
-    for a ``%s``.  Rows are formatted _BLOCK_ROWS at a time, by one ``%``
-    of the row template repeated, and joined by ``sep``, which also
-    separates consecutive blocks.  A float column with few distinct values
-    (see :class:`_Distinct`) is formatted once per distinct value and
-    enters its rows as text through a ``%s``; the bytes are those of
-    ``template % row`` either way.
+    A column is a float array, or a pair (text, array) whose ``text(part,
+    tail=...)`` gives the string of each cell of a part followed by
+    ``tail``.  A block holds max(1, _BLOCK_ROWS // nv) grid rows.  Every
+    float is written by ``%`` with its own conversion, and the bytes are
+    those of ``template % row``.  What changes is how often a value is
+    converted and how a cell's text is put together:
+
+    - a column constant along each grid row is formatted once per grid
+      row, and one constant along each grid column once per grid column;
+    - a column with few distinct values is formatted once per value (see
+      :class:`_Distinct`), and a pair's strings come from its text;
+    - the other columns, with the row-constant ones next to them, are
+      one ``%`` per block (see :class:`_Floats`), split into cells on a
+      sentinel; a run of row-constant columns alone is repeated as text.
+
+    The block joins, cell by cell, the strings of these segments, each of
+    which ends in the literal after it; if one run of floats spans the
+    row, the block is its ``%`` result.
     """
     specs = _SPEC.findall(template)
     literals = _SPEC.split(template)
-    texts = []
-    for c, spec in zip(cols, specs):
-        if not isinstance(c, tuple):
-            table = _Distinct.of(c, spec)
-            c = (None if table is None else table.strings, c)
-        texts.append(c)
-    row = literals[0] + "".join(
-        (spec if text is None else "%s") + lit
-        for (text, _), spec, lit in zip(texts, specs, literals[1:]))
-    n, width = texts[0][1].size, len(texts)
-    for s in range(0, n, _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, n)
-        values = [None] * (width * (e - s))     # the block's cells, row-major
-        for k, (text, c) in enumerate(texts):
-            part = _flat_slice(c, s, e)
-            values[k::width] = part.tolist() if text is None else text(part)
-        block = sep.join([row] * (e - s)) % tuple(values)
-        yield sep + block if s else block
+    shape = nu, nv = np.shape(cols[0][1] if isinstance(cols[0], tuple)
+                              else cols[0])
+    # runs of row pieces (see _row_texts), between segments that give a
+    # block's cells as strings
+    runs = [[sep + literals[0] % ()]]
+    for c, spec, lit in zip(cols, specs, literals[1:]):
+        tail = lit % ()
+        if isinstance(c, tuple):
+            cells = partial(_lookup, partial(c[0], tail=tail), c[1])
+        elif _constant_along(c, 1):
+            runs[-1].append([spec % x + tail for x in c[:, 0].tolist()])
+            continue
+        elif _constant_along(c, 0):
+            cells = partial(_tile, [spec % x + tail for x in c[0].tolist()])
+        elif (table := _Distinct.of(c, spec, tail)) is not None:
+            cells = partial(_lookup, table.strings, c)
+        else:
+            runs[-1].append((spec + lit, c))
+            continue
+        runs += [cells, []]
+    segments = []       # each gives the text of a block's cells
+    for run in runs:
+        if callable(run):
+            segments.append(run)
+        elif any(isinstance(p, tuple) for p in run):
+            segments.append(_Floats(run, shape))
+        elif any(rows := _row_texts(run, nu)):
+            segments.append(partial(_repeat, np.array(rows, dtype=object), nv))
+    step = max(1, _BLOCK_ROWS // nv)
+    width = len(segments)
+    for r0 in range(0, nu, step):
+        r1 = min(r0 + step, nu)
+        if width == 1 and isinstance(segments[0], _Floats):
+            block = segments[0].text(r0, r1)
+        else:
+            values = [None] * (width * (r1 - r0) * nv)
+            for k, cells in enumerate(segments):
+                values[k::width] = cells(r0, r1)
+            block = "".join(values)
+        yield block[len(sep):] if r0 == 0 else block
 
 
 def _csv_template(n_floats: int, n_strings: int = 0) -> str:
@@ -394,12 +494,21 @@ def _write_grid_json(path: Path, echo: dict, columns: list, cols: list):
 # subcommands
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _writing(out_dir: Path):
+    """Make the output directory for the writes in the ``with`` body.  An
+    OSError in making it or writing in it (``--out`` naming a file, say)
+    is a config error."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_dir}: {exc}")
+
+
 def cmd_generate(cfg: dict, out_dir: Path) -> int:
     surface, spec, grid = _build_surface(cfg)
     sweep = _sweep(surface, grid)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "surface.csv", sweep)
-    _write_obj(out_dir / "surface.obj", sweep)
     report = {
         "config": cfg, "threads": thread_cap(),
         "stopped_reason": surface.profile.stopped_reason,
@@ -411,7 +520,10 @@ def cmd_generate(cfg: dict, out_dir: Path) -> int:
         },
         "files": ["surface.csv", "surface.obj"],
     }
-    (out_dir / "report.json").write_text(_dumps(report, indent=2))
+    with _writing(out_dir):
+        _write_csv(out_dir / "surface.csv", sweep)
+        _write_obj(out_dir / "surface.obj", sweep)
+        (out_dir / "report.json").write_text(_dumps(report, indent=2))
     print(_dumps(report["summary"]))
     return 0
 
@@ -421,14 +533,14 @@ def cmd_export(cfg: dict, out_dir: Path, fmt: str) -> int:
         raise ConfigError(f"unknown format {fmt!r}")
     surface, spec, grid = _build_surface(cfg)
     sweep = _sweep(surface, grid)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "obj":
-        _write_obj(out_dir / "surface.obj", sweep)
-    elif fmt == "csv":
-        _write_csv(out_dir / "surface.csv", sweep)
-    else:
-        _write_grid_json(out_dir / "surface.json", cfg, CSV_COLUMNS[:14],
-                         _grid_columns(sweep))
+    with _writing(out_dir):
+        if fmt == "obj":
+            _write_obj(out_dir / "surface.obj", sweep)
+        elif fmt == "csv":
+            _write_csv(out_dir / "surface.csv", sweep)
+        else:
+            _write_grid_json(out_dir / "surface.json", cfg, CSV_COLUMNS[:14],
+                             _grid_columns(sweep))
     print(str(out_dir / f"surface.{fmt}"))
     return 0
 
@@ -438,10 +550,10 @@ def cmd_verify(cfg: dict, out_dir: Path | None, tol: float) -> int:
     verdict = verify_family(surface, spec, grid, tol=tol)
     payload = {"config": cfg, "verdict": verdict.to_json()}
     text = _dumps(payload, indent=2)
-    print(text)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "verdict.json").write_text(text)
+        with _writing(out_dir):
+            (out_dir / "verdict.json").write_text(text)
+    print(text)
     return 0 if verdict.passed else 1
 
 
@@ -449,17 +561,17 @@ def cmd_geomfuncs(cfg: dict, out_dir: Path, fmt: str) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown geomfuncs format {fmt!r}")
     surface, spec, grid = _build_surface(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     U, V = grid.mesh()
     gf = geometric_functions(surface, U, V)
     cols = np.broadcast_arrays(U, V, *gf.as_array())
-    if fmt == "json":
-        _write_grid_json(out_dir / "geomfuncs.json", cfg, GEOMFUNC_COLUMNS,
-                         cols)
-    else:
-        with open(out_dir / "geomfuncs.csv", "w", newline="") as fh:
-            fh.write(",".join(GEOMFUNC_COLUMNS) + "\r\n")
-            fh.writelines(_row_blocks(_csv_template(len(cols)), cols))
+    with _writing(out_dir):
+        if fmt == "json":
+            _write_grid_json(out_dir / "geomfuncs.json", cfg,
+                             GEOMFUNC_COLUMNS, cols)
+        else:
+            with open(out_dir / "geomfuncs.csv", "w", newline="") as fh:
+                fh.write(",".join(GEOMFUNC_COLUMNS) + "\r\n")
+                fh.writelines(_row_blocks(_csv_template(len(cols)), cols))
     print(str(out_dir / f"geomfuncs.{fmt}"))
     return 0
 
@@ -525,10 +637,10 @@ def cmd_pde(cfg: dict, out_dir: Path | None, tol: float) -> int:
 
     payload = {"config": cfg, "report": report.to_json()}
     text = _dumps(payload, indent=2)
-    print(text)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "pde_report.json").write_text(text)
+        with _writing(out_dir):
+            (out_dir / "pde_report.json").write_text(text)
+    print(text)
     return 0 if report.passed else 1
 
 

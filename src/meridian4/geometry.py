@@ -167,7 +167,9 @@ class SphericalCurve:
             raise InconsistentGeometry(
                 f"curve {self.name!r} breaks moving-frame closure "
                 f"(deviation {dev:.3e})")
-        # independent cross-check, one batch: jets against central differences
+        # independent cross-check, one batch: jets against central
+        # differences, whose truncation error h^2 |l'''| / 6 grows as
+        # kappa^2 + 1; twice the jet's own d3 term bounds it on [v-h, v+h]
         h, vi = 1e-3, vs[1:-1]
 
         def rows(w, order):   # shape (3 components, len(vi))
@@ -176,7 +178,8 @@ class SphericalCurve:
 
         d1 = rows(vi, "d1")
         fd1 = (rows(vi + h, "f") - rows(vi - h, "f")) / (2 * h)
-        bad = ~np.all(np.abs(fd1 - d1) / (1 + np.abs(d1)) <= 1e-5, axis=0)
+        bound = 1e-5 * (1 + np.abs(d1)) + h * h / 3 * np.abs(rows(vi, "d3"))
+        bad = ~np.all(np.abs(fd1 - d1) <= bound, axis=0)
         if np.any(bad):
             raise InconsistentGeometry(
                 f"curve {self.name!r}: jet d1 disagrees with finite "

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -430,6 +431,23 @@ def test_nonfinite_tol_flag_is_config_error(command, flag, cmc_cfg, tmp_path,
     assert "tol must be positive and finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["generate", "export", "geomfuncs",
+                                     "verify", "pde"])
+def test_unwritable_out_is_config_error(command, cmc_cfg, tmp_path, capsys):
+    # --out names a regular file, so the output directory cannot be made;
+    # a command prints its summary or verdict only once its files are out
+    cfg = json.loads(open(cmc_cfg).read())
+    cfg.update(system="syst1", solution="example1")
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    assert main([command, "--config", path, "--out", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"config error: cannot write output {taken}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out == "" and taken.read_text() == "a file"
+
+
 def test_non_object_config_is_config_error(tmp_path, capsys):
     bad = write_cfg(tmp_path / "list.json", [1, 2])
     assert main(["generate", "--config", bad]) == 2
@@ -526,7 +544,7 @@ def test_writers_hold_no_copy_of_the_grid(write, cmc_cfg, tmp_path,
                                           monkeypatch):
     # the writers read the sweep's columns in place and copy one block
     # of rows at a time, so the peak above the sweep is the distinct-value
-    # tables and one block: CSV 3.1 and OBJ 1.2 grids; flattened copies
+    # tables and one block: CSV 2.9 and OBJ 1.2 grids; flattened copies
     # of the columns read 14.3 and 9.2
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 512)
     surface, _, grid = _cmc_200(cmc_cfg)
@@ -729,6 +747,68 @@ def test_face_digit_rows_match_reference_bytes(nu, nv, block_rows):
     finally:
         cli._BLOCK_ROWS = old
     assert got.count(b"\nf ") == (nu - 1) * (nv - 1)
+
+
+#: Values whose text or bits are easy to get wrong: signed zeros, a NaN
+#: with another payload (the same text, other bits) and the infinities.
+_SPECIALS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1 / 3,
+             -2.5e-300, 1e22, float(np.array(0x7FF8000000000001).view(float))]
+
+_KINDS = ["row", "row but one", "column", "few", "distinct", "causal"]
+
+
+def _writer_column(kind, nu, nv, rnd):
+    """A (nu, nv) column of one kind for the block writer."""
+    def pick(n, values=_SPECIALS):
+        return np.array([rnd.choice(values) for _ in range(n)])
+
+    if kind == "row":           # constant along each grid row
+        return np.broadcast_to(pick(nu)[:, None], (nu, nv))
+    if kind == "row but one":   # the same, with one cell's bits flipped
+        col = np.repeat(pick(nu)[:, None], nv, axis=1)
+        i, j = rnd.randrange(nu), rnd.randrange(nv)
+        col[i, j] = -col[i, j]
+        return col
+    if kind == "column":        # constant along each grid column
+        return np.broadcast_to(pick(nv)[None, :], (nu, nv))
+    if kind == "few":
+        return pick(nu * nv, list(pick(2))).reshape(nu, nv)
+    if kind == "distinct":
+        return np.arange(nu * nv).reshape(nu, nv) * -0.37 + rnd.random()
+    return (cli._causal_names, pick(nu * nv, [-1.0, 1.0, 0.0, 1e-11, -1e-11,
+                                              float("nan")]).reshape(nu, nv))
+
+
+@settings(deadline=None, max_examples=80)
+@given(nu=st.integers(1, 12), nv=st.integers(2, 12),
+       block_rows=st.sampled_from(["1", "7", "nv - 1", "default"]),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=7),
+       seed=st.integers(0, 2 ** 32))
+@example(nu=3, nv=12, block_rows="7", kinds=_KINDS, seed=0)  # nv > rows
+@example(nu=12, nv=12, block_rows="default", kinds=["few", "row", "few"],
+         seed=1)
+def test_block_writer_matches_row_template(nu, nv, block_rows, kinds, seed):
+    # every mix of column kinds, in every writer's template, gives the
+    # bytes of the row template applied row by row
+    rnd = random.Random(seed)
+    cols = [_writer_column(kind, nu, nv, rnd) for kind in kinds]
+    rows = [tuple(_ref_causal_name(c[1][i, j]) if isinstance(c, tuple)
+                  else float(c[i, j]) for c in cols)
+            for i in range(nu) for j in range(nv)]
+    old = cli._BLOCK_ROWS
+    cli._BLOCK_ROWS = {"1": 1, "7": 7, "nv - 1": nv - 1, "default": old}[
+        block_rows]
+    try:
+        for head, spec, between, end, sep in (
+                ("", "%.12g", ",", "\r\n", ""),         # CSV
+                ("v ", "%.9g", " ", "\n", ""),           # OBJ vertices
+                ("[", "%r", ", ", "]", ", ")):           # grid JSON
+            template = head + between.join(
+                "%s" if isinstance(c, tuple) else spec for c in cols) + end
+            got = "".join(cli._row_blocks(template, cols, sep))
+            assert got == sep.join(template % row for row in rows)
+    finally:
+        cli._BLOCK_ROWS = old
 
 
 @pytest.mark.parametrize("block_rows", [None, 7])

@@ -24,6 +24,7 @@ from meridian4 import (
     make_parallel_H2,
     make_pnmc1,
     minkowski_inner,
+    poly_fn,
     sin_offset_fn,
     verify_frame,
 )
@@ -103,6 +104,27 @@ def test_curve_jet_check_names_the_first_failing_v():
                        match=re.escape(f"differences at v={first}") + "$"):
         SphericalCurve(components=components, curvature=constant_fn(0.0),
                        domain=domain)
+
+
+def test_curve_jet_check_scales_with_curvature():
+    # kappa = 1 + v^2 reaches 40 on [0, 2 pi]: the central difference's
+    # truncation error h^2 |l'''| / 6 then exceeds a fixed 1e-5 bound
+    c = curve_from_curvature(poly_fn([1.0, 0.0, 1.0]), (0.0, 2 * np.pi),
+                             h=2.5e-4)
+    l3 = c.data(3.93).l[:3]
+    assert abs(l3 @ l3 - 1.0) < 1e-10
+
+
+def test_curve_with_d1_off_by_1e_3_is_refused():
+    # the unit circle traversed at speed 1.001 with unit-speed jets: the
+    # sphere and frame-closure checks hold, central differences do not
+    def components(v):
+        w = Jet3.variable(1.001 * np.asarray(v, dtype=float))
+        return (w.cos(), w.sin(), Jet3(0.0 * w.f))
+
+    with pytest.raises(InconsistentGeometry, match="finite differences"):
+        SphericalCurve(components=components, curvature=constant_fn(0.0),
+                       domain=Interval(0, 2 * np.pi))
 
 
 def test_user_curve_with_consistent_jets_loads():
