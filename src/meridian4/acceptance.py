@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ FRAME_GRAM = np.diag([-1.0, 1.0, 1.0, 1.0])
 RNG_SEED = 20250810
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named bound; kind is "<=" (violation cap) or ">=" (witness floor)."""
 
     name: str
@@ -54,8 +53,7 @@ class Check:
                 else self.measured >= self.bound)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     checks: tuple

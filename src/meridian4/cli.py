@@ -38,16 +38,28 @@ materials), axes mapped y-up as (x1, x4, x2); the e3 component is a
 projection casualty.  The MERIDIAN_THREADS environment variable caps
 worker parallelism; the sweeps here are vectorized single-process, so
 any cap is respected and echoed into reports.
+
+:func:`main` registers :func:`gc.freeze` with :mod:`atexit`, once per
+process however often it is called.  Shutdown then leaves the cyclic
+objects of numpy and this package to the operating system instead of
+collecting and deallocating them one by one.  This is safe: every output
+is closed by its ``with`` block before ``main`` returns, stdout and
+stderr are flushed after the atexit handlers have run, and Python
+promises no finalizer for objects still alive at exit.  A program that
+calls ``main`` in-process gets the same exit: whatever it holds then is
+not collected either.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import re
 import sys
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +70,7 @@ from .errors import MeridianError
 from .families import FamilySpec, build_profile, build_surface, verify_family
 from .geometry import (_E4, MeridianSurface, curve_from_curvature, great_circle,
                        latitude_circle)
-from .grids import Grid2, json_safe
+from .grids import Grid2, json_number, json_safe
 from .natural_pde import (
     IsotropicChart,
     ScalarField2,
@@ -106,9 +118,9 @@ def _load_json(path: str) -> dict:
 
 def _config_number(cfg: dict, key: str, default) -> float:
     try:
-        return float(cfg.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be a number, not {cfg[key]!r}")
+        return json_number(cfg.get(key, default), key)
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(str(exc))
 
 
 def _parse_kappa(sel: str) -> SmoothFn1:
@@ -141,16 +153,16 @@ def _build_directrix(d: dict, grid: Grid2):
     if kind == "latitude":
         if "kappa" not in d:
             raise ConfigError("latitude directrix needs a kappa value")
-        return latitude_circle(float(d["kappa"]))
+        return latitude_circle(json_number(d["kappa"], "kappa"))
     if kind == "curvature":
         if "kappa" not in d:
             raise ConfigError("curvature directrix needs a kappa selector")
         kap = _parse_kappa(str(d["kappa"]))
-        h = float(d.get("h", 1e-3))
+        h = json_number(d.get("h", 1e-3), "h")
         lo, hi = sorted((grid.v_min, grid.v_max))
-        v0 = float(d.get("v_min", lo))
+        v0 = json_number(d.get("v_min", lo), "v_min")
         # the grid's v-range; a constant-v grid still needs one step
-        v1 = float(d.get("v_max", max(hi, v0 + h)))
+        v1 = json_number(d.get("v_max", max(hi, v0 + h)), "v_max")
         return curve_from_curvature(kap, (v0, v1), h=h)
     raise ConfigError(f"unknown directrix kind {kind!r}")
 
@@ -481,12 +493,14 @@ def _write_grid_json(path: Path, echo: dict, columns: list, cols: list):
     :func:`_dumps` spells it; row i holds entry i of each flat column."""
     head = _dumps({"config": echo, "columns": columns})
     template = "[" + ", ".join(["%r"] * len(cols)) + "]"
+    blocks = _row_blocks(template, cols, ", ")
+    if not all(np.isfinite(c).all() for c in cols):
+        # repr() spells non-finite floats nan/inf; JSON has only null.
+        blocks = (block.replace("-inf", "null").replace("inf", "null")
+                  .replace("nan", "null") for block in blocks)
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "rows": [')
-        # repr() spells non-finite floats nan/inf; JSON has only null.
-        fh.writelines(block.replace("-inf", "null").replace("inf", "null")
-                      .replace("nan", "null")
-                      for block in _row_blocks(template, cols, ", "))
+        fh.writelines(blocks)
         fh.write("]}")
 
 
@@ -670,7 +684,14 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _freeze_at_exit() -> None:
+    """Freeze every object still alive at exit (see the module notes)."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_at_exit()
     args = _parser().parse_args(argv)
     try:
         if args.command == "selfcheck":

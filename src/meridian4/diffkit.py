@@ -33,8 +33,8 @@ point, so g at a point depends on that point alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,7 @@ DEFAULT_OVERFLOW_BOUND = 1e12
 MAX_STEPS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Interval from lo to hi; either end may be infinite.
 
     A validity domain, such as phi's or the minimal profile's, is open
@@ -294,8 +293,7 @@ def _floats(u):
     return u if u.ndim else float(u)
 
 
-@dataclass(frozen=True)
-class SmoothFn1:
+class SmoothFn1(NamedTuple):
     """Scalar function with order-3 jets on a declared open interval.
 
     ``expr``, when set, is the function written once for floats, arrays
@@ -305,7 +303,7 @@ class SmoothFn1:
     """
 
     eval_jet: Callable[["ArrayLike"], Jet3]
-    domain: Interval = field(default_factory=Interval)
+    domain: Interval = Interval()
     name: str = ""
     expr: Callable | None = None
 
@@ -522,8 +520,7 @@ def float_value(fn: SmoothFn1, u: float) -> float:
         return math.nan
 
 
-@dataclass(frozen=True)
-class OdeSolution:
+class OdeSolution(NamedTuple):
     """Solution of f' = phi(f) on a uniform grid, with equation-derived jets.
 
     ``phi_evals`` counts the evaluations of phi the march made, the

@@ -17,7 +17,10 @@ tolerance, so every classification statement is machine-checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .geometry import (
     latitude_circle,
     profile_from_f_jets,
 )
-from .grids import Grid2, json_safe, max_abs
+from .grids import Grid2, json_number, json_safe, max_abs
 
 __all__ = [
     "TAGS",
@@ -327,10 +330,12 @@ class FamilySpec:
     def from_json(cls, d: dict) -> "FamilySpec":
         d = dict(d)
         tag = d.pop("tag")
-        u_min, u_max = float(d.pop("u_min")), float(d.pop("u_max"))
+        u_min, u_max = (json_number(d.pop(k), k) for k in ("u_min", "u_max"))
         h = d.pop("h", None)
+        for name, value in d.items():       # the params, kept as given
+            json_number(value, name, integral=name == "sign_g")
         return cls(tag=tag, params=d, u_min=u_min, u_max=u_max,
-                   h=float(h) if h is not None else None)
+                   h=json_number(h, "h") if h is not None else None)
 
 
 def build_profile(spec: FamilySpec) -> MeridianProfile:
@@ -379,8 +384,7 @@ def build_surface(spec: FamilySpec,
 # theorem-as-test verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyVerdict:
+class FamilyVerdict(NamedTuple):
     """Result of checking a family's defining property on a grid."""
 
     property_name: str
@@ -388,13 +392,14 @@ class FamilyVerdict:
     tol: float
     passed: bool
     grid: Grid2
-    details: dict = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})
 
     def to_json(self) -> dict:
         return json_safe({"property": self.property_name,
                           "max_violation": self.max_violation, "tol": self.tol,
                           "passed": bool(self.passed),
-                          "grid": self.grid.to_json(), "details": self.details})
+                          "grid": self.grid.to_json(),
+                          "details": dict(self.details)})
 
 
 def verify_family(surface: MeridianSurface, spec: FamilySpec, grid: Grid2,

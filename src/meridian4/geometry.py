@@ -38,7 +38,7 @@ is pure, so grid sweeps may be parallelized freely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -129,7 +129,7 @@ class SphericalCurve:
 
     components: Callable[[np.ndarray], tuple[Jet3, Jet3, Jet3]]
     curvature: SmoothFn1
-    domain: Interval = field(default_factory=Interval)
+    domain: Interval = Interval()
     name: str = ""
 
     def __post_init__(self):
@@ -339,8 +339,7 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
 # the surface, one batch evaluation of it, and its pointwise records
 # ===========================================================================
 
-@dataclass(frozen=True)
-class SurfaceJet:
+class SurfaceJet(NamedTuple):
     """Ambient position and partial derivatives of z at (u, v)."""
 
     z: Vec4M
@@ -355,8 +354,7 @@ class SurfaceJet:
     z_vvv: Vec4M
 
 
-@dataclass(frozen=True)
-class FrameAtPoint:
+class FrameAtPoint(NamedTuple):
     """Orthonormal frame X, Y (tangent) and N1, N2 (normal).
 
     Gram matrix is diag(-1, 1, 1, 1): X is unit timelike.
@@ -387,8 +385,7 @@ class MeanCurvature(NamedTuple):
     h2_jet: float
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Pointwise first-form data, curvatures, and causal classification."""
 
     E: float
@@ -640,8 +637,8 @@ class SurfaceSample:
 
 def _vectors(record, sample: SurfaceSample):
     """A record of Vec4M fields read from a sample, one point or a batch."""
-    return record(**{f.name: Vec4M.from_array(getattr(sample, f.name))
-                     for f in fields(record)})
+    return record._make(Vec4M.from_array(getattr(sample, name))
+                        for name in record._fields)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid2", "json_safe", "max_abs"]
+__all__ = ["Grid2", "json_number", "json_safe", "max_abs"]
 
 #: Grids with more points than this are refused before anything is built.
 MAX_POINTS = 10 ** 8
@@ -25,6 +25,20 @@ def json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
     return obj
+
+
+def json_number(value, name: str, integral: bool = False):
+    """A number read from a JSON config: a float, or an int if
+    ``integral``.  Raises TypeError for anything but a JSON number (a
+    boolean too, though Python's True == 1) and ValueError for an
+    ``integral`` value with a fractional part, so nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name!r} must be a number, not {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name!r} must be a whole number, not {value!r}")
+    return int(value)
 
 
 def max_abs(*arrays) -> float:
@@ -67,6 +81,5 @@ class Grid2:
 
     @classmethod
     def from_json(cls, d: dict) -> "Grid2":
-        return cls(u_min=float(d["u_min"]), u_max=float(d["u_max"]),
-                   nu=int(d["nu"]), v_min=float(d["v_min"]),
-                   v_max=float(d["v_max"]), nv=int(d["nv"]))
+        return cls(**{k: json_number(d[k], k, integral=k in ("nu", "nv"))
+                      for k in ("u_min", "u_max", "nu", "v_min", "v_max", "nv")})

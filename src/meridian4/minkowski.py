@@ -11,9 +11,8 @@ values, so it is safe to call concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ __all__ = [
 #: has to be absorbed.
 DEFAULT_CAUSAL_TOL = 1e-10
 
-@dataclass(frozen=True)
-class Vec4M:
+class Vec4M(NamedTuple):
     """Vector of R^4_1 in the standard basis (e1, e2, e3, e4): a view of
     a (..., 4) array, whose components are floats or arrays of one
     broadcast shape (a batch of points)."""
@@ -102,8 +100,7 @@ def causal_character(v: Vec4M, tol: float = DEFAULT_CAUSAL_TOL) -> CausalClass:
     return CausalClass.ZERO
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(NamedTuple):
     """Measured Gram matrix of a candidate frame (or a batch of frames,
     with deviations the worst over all points) against a target."""
 

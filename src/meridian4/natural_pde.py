@@ -41,7 +41,9 @@ fundamental system with eps = -1 evaluated on those barred partials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -87,8 +89,7 @@ ISOTROPIC_GRAM = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class GeometricFunctions:
+class GeometricFunctions(NamedTuple):
     """The nine scalar functions of the lightlike geometric frame."""
 
     gamma1: float
@@ -107,8 +108,7 @@ class GeometricFunctions:
                          self.beta2])
 
 
-@dataclass(frozen=True)
-class IsotropicFrame:
+class IsotropicFrame(NamedTuple):
     """Lightlike frame, one point or a batch; Gram :data:`ISOTROPIC_GRAM`."""
 
     x: Vec4M
@@ -299,8 +299,7 @@ def _arcsin_chart(a: float, b: float) -> tuple:
     return U, u_from_U
 
 
-@dataclass(frozen=True)
-class IsotropicChart:
+class IsotropicChart(NamedTuple):
     """Chart (u, v) -> (ubar, vbar) = ((U(u) + v), (U(u) - v)) / sqrt(2).
 
     U is an antiderivative of 1/f, so the barred coordinate tangents
@@ -557,16 +556,14 @@ def _per_callable(fields, fn) -> list:
 # residual reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquationResidual:
+class EquationResidual(NamedTuple):
     name: str
     max_abs: float
     rms: float
     gating: bool = True
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Per-equation residual statistics of a candidate over a grid."""
 
     system: str
@@ -574,8 +571,8 @@ class ResidualReport:
     tol: float
     passed: bool
     epsilon: int | None = None
-    grid: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
+    grid: Mapping = MappingProxyType({})
+    details: Mapping = MappingProxyType({})
 
     def max_residual(self) -> float:
         return max_abs(*(eq.max_abs for eq in self.equations if eq.gating))
@@ -583,7 +580,8 @@ class ResidualReport:
     def to_json(self) -> dict:
         return json_safe({"system": self.system, "tol": self.tol,
                           "passed": bool(self.passed), "epsilon": self.epsilon,
-                          "grid": self.grid, "details": self.details,
+                          "grid": dict(self.grid),
+                          "details": dict(self.details),
                           "equations": [{"name": e.name, "max_abs": e.max_abs,
                                          "rms": e.rms, "gating": e.gating}
                                         for e in self.equations]})

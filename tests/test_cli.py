@@ -344,19 +344,24 @@ def test_selfcheck_passes(capsys):
     assert out.count("[PASS]") == 10
 
 
-def _imported(argv, modules) -> list:
-    """Which of modules a fresh CLI process running argv imports; a fresh
-    process, since this one may have imported them already."""
-    code = ("import json, sys; from meridian4.cli import main; "
-            f"assert main({argv!r}) == 0; "
-            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+def _fresh_process(code: str) -> list:
+    """The lines a fresh Python process running code prints."""
     path = [str(Path(__file__).resolve().parent.parent / "src"),
             os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()
+
+
+def _imported(argv, modules) -> list:
+    """Which of modules a fresh CLI process running argv imports; a fresh
+    process, since this one may have imported them already."""
+    code = ("import json, sys; from meridian4.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+    return json.loads(_fresh_process(code)[-1])
 
 
 @pytest.mark.parametrize("command", ["selfcheck", "generate", "verify",
@@ -375,6 +380,27 @@ def test_command_imports_no_unused_numpy_module(command, cmc_cfg, tmp_path):
     if command in ("generate", "geomfuncs"):
         argv += ["--out", str(tmp_path / "o")]
     assert _imported(argv, ["numpy.random", "numpy.ma"]) == []
+
+
+def test_main_freezes_the_heap_once_at_exit():
+    # atexit runs its handlers last in, first out: the CLI's gc.freeze,
+    # registered by main, runs before this hook, registered first
+    code = """if True:
+        import atexit, contextlib, gc, io
+        atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+        registered, register = [], atexit.register
+
+        def counting(fn, *args, **kwargs):
+            registered.append(fn)
+            return register(fn, *args, **kwargs)
+
+        atexit.register = counting
+        from meridian4.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["selfcheck"]) == main(["selfcheck"]) == 0
+        print("registered", registered.count(gc.freeze))
+    """
+    assert _fresh_process(code)[-2:] == ["registered 1", "frozen True"]
 
 
 def test_thread_cap_env(monkeypatch, flat_cfg, tmp_path):
@@ -415,6 +441,37 @@ def test_malformed_config_is_config_error(command, edit, cmc_cfg, tmp_path,
     assert main([command, "--config", bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("config", "tol", True),
+    *(("grid", k, v) for k, v in (("u_min", False), ("u_max", True),
+                                  ("nu", 12.7), ("v_min", False),
+                                  ("v_max", True), ("nv", 10.5))),
+    *(("family", k, v) for k, v in (("a", True), ("kappa", True),
+                                    ("c", True), ("f0", True),
+                                    ("u_min", False), ("u_max", True),
+                                    ("h", True), ("sign_g", True),
+                                    ("sign_g", 1.5))),
+    ("directrix", "kappa", True),
+    ("curvature", "h", True),
+    ("curvature", "v_min", False),
+])
+def test_config_number_is_a_json_number(section, key, value, cmc_cfg,
+                                        tmp_path, capsys):
+    # float() reads a JSON true as 1.0 and int() truncates a fraction, so
+    # a config with any of these values used to run
+    cfg = json.loads(open(cmc_cfg).read())
+    if section == "config":
+        cfg[key] = value
+    elif section == "curvature":
+        cfg["directrix"] = {"kind": "curvature", "kappa": "const:1", key: value}
+    else:
+        cfg[section][key] = value
+    bad = write_cfg(tmp_path / "bad.json", cfg)
+    assert main(["verify", "--config", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err, err
 
 
 @pytest.mark.parametrize("command", ["verify", "pde"])

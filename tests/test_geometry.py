@@ -486,7 +486,7 @@ def _records(tag, surface):
 
 
 def _vec_arrays(record):
-    return [vec.as_array() for vec in vars(record).values()]
+    return [vec.as_array() for vec in record]
 
 
 @settings(deadline=None, max_examples=40)

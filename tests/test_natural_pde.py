@@ -274,7 +274,7 @@ def test_factored_frame_functions_match_ambient_route(route_points, name,
     surface, u, v = route_points(name, layout, s, t)
     want_gf, want_fields = _ambient_geometric_functions(surface._raw(u, v))
     sample, fields = _frame_fields(surface, u, v, MINIMAL_TOL)
-    got = {**vars(geometric_functions(surface, u, v)),
+    got = {**geometric_functions(surface, u, v)._asdict(),
            **{"frame " + k: w.as_array() for k, w in
               isotropic_frame(surface, u, v).labeled()}}
     want = {**want_gf, **{"frame " + k: want_fields[k][0] for k in want_fields}}
