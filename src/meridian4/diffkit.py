@@ -87,6 +87,15 @@ class Interval(NamedTuple):
     hi: float = math.inf
     closed: bool = False
 
+    def open_ends(self) -> tuple:
+        """(a, b) such that ``a < x < b`` holds for a float x exactly when
+        x is finite and :meth:`contains` it: a closed end moves out by one
+        ulp (an infinite one stays, so +-inf fail), and a NaN fails every
+        comparison."""
+        if not self.closed:
+            return self.lo, self.hi
+        return math.nextafter(self.lo, -math.inf), math.nextafter(self.hi, math.inf)
+
     def contains(self, u) -> bool:
         if isinstance(u, float):        # a NaN is outside, as below
             if self.closed:
@@ -642,38 +651,44 @@ def integrate_profile(phi: SmoothFn1, f0: float, u_range: tuple[float, float],
                       h: float) -> OdeSolution:
     """Integrate f' = phi(f) from f(u_range[0]) = f0 with fixed step h.
 
-    phi is evaluated on floats (:func:`float_value`); its NaN and
+    phi is evaluated on floats, as :func:`float_value` does; its NaN and
     division by zero go to the checks below, not to warnings or errors.
-    Integration stops early, with a recorded reason, if a stage leaves
-    phi's validity interval, produces a non-finite value, or |phi|
-    exceeds :data:`DEFAULT_OVERFLOW_BOUND`.  An early stop is an event
+    Integration stops early, with a recorded reason, if a stage or a
+    node is not a finite point of phi's validity interval, phi is not
+    finite at a stage, or |phi| exceeds :data:`DEFAULT_OVERFLOW_BOUND`.  An early stop is an event
     on the returned solution, not an error.
     """
     u0, u1 = float(u_range[0]), float(u_range[1])
     n_steps = step_count(u0, u1, h)
     if not phi.domain.contains(f0):
         raise InvalidInitialState(f"f0={f0} outside phi's domain")
+    # bound once: each stage and node check is one chained comparison
+    lo, hi = phi.domain.open_ends()
+    value = phi.eval_value if phi.expr is None else phi.expr
+    bound = DEFAULT_OVERFLOW_BOUND
     evals = 1
-
-    def inside(f, what):
-        if not (math.isfinite(f) and phi.domain.contains(f)):
-            raise _EarlyStop(f"{what} left phi domain")
 
     def slope(_, f):
         nonlocal evals
-        inside(f, "stage")
+        if not lo < f < hi:
+            raise _EarlyStop("stage left phi domain")
         evals += 1
-        k = float_value(phi, f)
-        if not math.isfinite(k):
-            raise _EarlyStop("phi not finite at stage")
-        if abs(k) > DEFAULT_OVERFLOW_BOUND:
-            raise _EarlyStop("derivative overflow")
+        try:
+            k = value(f)
+        except ZeroDivisionError:       # as float_value
+            k = math.nan
+        if not -bound <= k <= bound:    # a NaN fails it too
+            raise _EarlyStop("derivative overflow" if math.isfinite(k)
+                             else "phi not finite at stage")
         return k
+
+    def node(f):
+        if not lo < f < hi:
+            raise _EarlyStop("state left phi domain")
 
     with _quiet():
         if not np.isfinite(float_value(phi, f0)):
             raise InvalidInitialState(f"phi(f0) is not finite at f0={f0}")
-        values, stopped = _march(slope, u0, float(f0), h, n_steps,
-                                 lambda f: inside(f, "state"))
+        values, stopped = _march(slope, u0, float(f0), h, n_steps, node)
     return OdeSolution(phi=phi, u0=u0, h=h, values=values, requested_end=u1,
                        stopped_reason=stopped, phi_evals=evals)

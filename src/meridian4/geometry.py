@@ -34,11 +34,14 @@ functions of ``natural_pde``.  The (..., 4) arrays themselves are built
 from the same triples when first read, and kept.
 
 Surfaces and curves are immutable after construction; every evaluation
-is pure, so grid sweeps may be parallelized freely.
+is pure, so grid sweeps may be parallelized freely.  A profile's jets
+and a directrix's data are memoized per point set (:class:`_Memo`); a
+hit is bit for bit a fresh evaluation, and the memo is safe to share
+between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -95,6 +98,56 @@ def _scale(s, vec: np.ndarray) -> np.ndarray:
     return np.asarray(s)[..., None] * vec
 
 
+#: Distinct point sets whose jets a profile, or whose data a directrix,
+#: keeps: the acceptance suite reads each grid's u (or v) axis through
+#: several invariants in turn.
+MEMO_SIZE = 2
+
+
+class _Memo:
+    """The results of a pure function of one float array for the last
+    :data:`MEMO_SIZE` distinct inputs, keyed by shape and bytes, so a
+    hit is bit-identical to a fresh evaluation.  The function sees a
+    private copy of its input, never the caller's array; a result is
+    stored only if the function returns, and its arrays are read-only
+    views (:func:`_read_only`).  The entries are one tuple, replaced
+    whole, so a reader never sees a half-made update."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self):
+        self.entries = ()
+
+    def __call__(self, compute, x):
+        x = np.array(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        for k, result in self.entries:
+            if k == key:
+                return result
+        result = _read_only(compute(x))
+        self.entries = ((key, result),) + self.entries[:MEMO_SIZE - 1]
+        return result
+
+
+def _read_only(x):
+    """x with every array in it, alone, in a Jet3 or in a record of
+    them, replaced by a read-only view: a stored result is shared by
+    every later query of its point set."""
+    if isinstance(x, np.ndarray):
+        x = x.view()
+        x.flags.writeable = False
+    elif isinstance(x, Jet3):
+        x = Jet3(*map(_read_only, x.derivatives()))
+    elif isinstance(x, tuple):
+        x = type(x)(*map(_read_only, x))
+    return x
+
+
+def _memo_field():
+    """A :class:`_Memo` kept out of the record's init, eq, hash and repr."""
+    return field(default_factory=_Memo, init=False, repr=False, compare=False)
+
+
 # ===========================================================================
 # directrix curves on S^2(1)
 # ===========================================================================
@@ -131,12 +184,17 @@ class SphericalCurve:
     curvature: SmoothFn1
     domain: Interval = Interval()
     name: str = ""
+    _memo: _Memo = _memo_field()
 
     def __post_init__(self):
         self._validate()
 
     def data(self, v) -> CurveData:
-        v = np.asarray(v, dtype=float)
+        """The directrix at v; each array is a read-only view, and a point
+        set queried recently gets the same object back (see :class:`_Memo`)."""
+        return self._memo(self._data, v)
+
+    def _data(self, v) -> CurveData:
         self.domain.require(v, "v", "directrix domain")
         jets = self.components(v)
         l, t, tp, tpp = ([getattr(j, d) for j in jets]
@@ -147,7 +205,7 @@ class SphericalCurve:
 
     def _validate(self):
         vs = self.domain.sample(9)
-        d = self.data(vs)
+        d = self._data(vs)       # not memoized: no query repeats it
         l3, t3, tp3, n3 = d.l[..., :3], d.t[..., :3], d.tp[..., :3], d.n[..., :3]
         unit_l = np.max(np.abs(np.sum(l3 * l3, axis=-1) - 1.0))
         unit_t = np.max(np.abs(np.sum(t3 * t3, axis=-1) - 1.0))
@@ -274,6 +332,7 @@ class MeridianProfile:
     sign_g: int = 1
     name: str = ""
     ode: OdeSolution | None = None
+    _memo: _Memo = _memo_field()
 
     def __post_init__(self):
         us = self.domain.sample(17)
@@ -290,7 +349,11 @@ class MeridianProfile:
                 f"(relative deviation {dev:.3e})")
 
     def jets(self, u) -> ProfileJets:
-        u = np.asarray(u, dtype=float)
+        """f and g at u; each array is a read-only view, and a point set
+        queried recently gets the same object back (see :class:`_Memo`)."""
+        return self._memo(self._jets, u)
+
+    def _jets(self, u) -> ProfileJets:
         self.domain.require(u, "u", "profile domain")
         return ProfileJets(self.f_eval(u), self.g_eval(u))
 

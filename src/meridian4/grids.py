@@ -50,7 +50,8 @@ def max_abs(*arrays) -> float:
 
 @dataclass(frozen=True)
 class Grid2:
-    """Uniform (u, v) grid; mesh() returns broadcast-ready axes."""
+    """Uniform (u, v) grid with finite bounds; mesh() returns
+    broadcast-ready axes."""
 
     u_min: float
     u_max: float
@@ -60,6 +61,9 @@ class Grid2:
     nv: int
 
     def __post_init__(self):
+        bounds = (self.u_min, self.u_max, self.v_min, self.v_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"grid bounds must be finite, not {bounds}")
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if self.nu * self.nv > MAX_POINTS:

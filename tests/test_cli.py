@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +488,29 @@ def test_nonfinite_tol_flag_is_config_error(command, flag, cmc_cfg, tmp_path,
     assert main([command, "--config", path, "--tol", flag]) == 2
     err = capsys.readouterr().err
     assert "tol must be positive and finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "geomfuncs",
+                                     "pde"])
+@pytest.mark.parametrize("key, value", [
+    ("v_max", math.inf), ("v_min", math.nan), ("u_min", -math.inf),
+    ("u_max", math.nan)])
+def test_nonfinite_grid_bound_is_config_error(command, key, value, cmc_cfg,
+                                              tmp_path, capsys):
+    # Python's json reads the tokens Infinity and NaN, which json.dumps
+    # writes; such a grid used to fail later, as a numeric failure (3)
+    cfg = json.loads(open(cmc_cfg).read())
+    cfg.update(system="syst1", solution="example1")
+    cfg["grid"][key] = value
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert ("NaN" if math.isnan(value) else "Infinity") in open(path).read()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and not caught
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "export", "geomfuncs",

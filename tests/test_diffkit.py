@@ -107,6 +107,25 @@ def test_interval_is_open_unless_closed():
                     assert type(got) is bool and got == want, (iv, scalar)
 
 
+_END = st.one_of(st.floats(-2.0, 2.0),
+                 st.sampled_from([0.0, -0.0, 1.0, -np.inf, np.inf]))
+
+
+@settings(max_examples=300)
+@given(lo=_END, hi=_END, closed=st.booleans(),
+       u=st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
+           [0.0, -0.0, 1.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])),
+       nudge=st.sampled_from([None, "lo", "hi"]))
+def test_open_ends_test_finite_membership(lo, hi, closed, u, nudge):
+    # the RK4 march checks each stage with one chained comparison
+    iv = Interval(lo, hi, closed)
+    if nudge:           # one ulp either side of an end is the hard case
+        end = lo if nudge == "lo" else hi
+        u = np.nextafter(end, u) if np.isfinite(end) else u
+    a, b = iv.open_ends()
+    assert (a < u < b) == (np.isfinite(u) and iv.contains(float(u)))
+
+
 @pytest.mark.parametrize("closed, u, bad", [
     (False, np.array([[0.5, 0.7], [1.0, 2.0]]), "1.0"),
     (True, np.array([0.0, 1.0, 1.5, -3.0]), "1.5"),

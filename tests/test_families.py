@@ -457,13 +457,27 @@ def test_cosh_phi_marches_bit_for_bit():
 
 
 @pytest.mark.parametrize("build, f0, reason", [
-    (lambda: make_cmc(1.0, 1.0, 1.0, 1.0, (0.0, 3.0), 1e-3, branch=(-1, 1)),
+    (lambda: make_cmc(1.0, 1.0, 1.0, 1.0, (0.0, 3.0), 1e-3,
+                      branch=(-1, 1)).ode,
      1.0, "stage left phi domain at u=0.393"),
-    (lambda: make_pnmc2(0.3, -1.5, 0.7, 1.3, (0.0, 5.0), 1e-3, branch=-1),
+    (lambda: make_pnmc2(0.3, -1.5, 0.7, 1.3, (0.0, 5.0), 1e-3, branch=-1).ode,
      1.3, "phi not finite at stage at u=1.469"),
-], ids=["stage-left-domain", "phi-not-finite"])
+    # f = sqrt(1 - 2u) reaches 0 at u = 1/2: near it, phi = -1/f at the
+    # last stage is so steep that the node jumps past 0 from inside
+    (lambda: integrate_profile(expr_fn(lambda t: -(1.0 / t),
+                                       Interval(0.0, math.inf)),
+                               1.0, (0.0, 1.0), 3.5e-3),
+     1.0, "state left phi domain at u=0.497"),
+    # f = u on [0, 1]: f0 and the node f = 1 sit on the closed ends, and
+    # only the stage f = 1.125 after it is outside
+    (lambda: integrate_profile(expr_fn(lambda t: 1.0 + 0.0 * t,
+                                       Interval(0.0, 1.0, closed=True)),
+                               0.0, (0.0, 2.0), 0.25),
+     0.0, "stage left phi domain at u=1"),
+], ids=["stage-left-domain", "phi-not-finite", "state-left-domain",
+        "closed-domain"])
 def test_early_stops_match_the_jet_march(build, f0, reason):
-    sol = build().ode
+    sol = build()
     assert sol.stopped_reason == reason
     assert_march_is_the_jet_march(sol, f0)
 

@@ -1,4 +1,7 @@
+import dataclasses
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from meridian4.acceptance import standard_instances
 from meridian4.errors import (InconsistentGeometry, MeridianError, MinimalPoint,
                               NonpositiveProfile, OutOfDomain)
 from meridian4.families import TAGS
-from meridian4.geometry import MeridianProfile
+from meridian4.geometry import MEMO_SIZE, MeridianProfile
 from meridian4.natural_pde import ISOTROPIC_GRAM, isotropic_frame
 
 FRAME_GRAM = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -535,6 +538,154 @@ def test_g_depends_on_its_point_alone(tag, points, others):
     single.g_eval(grid.u_min + np.array(others[::-1]) * span)
     assert np.array_equal(batch.g_eval(us).f, g)
     assert np.array_equal(single.g_eval(us).f, g)
+
+
+# -------------------------------------------------- memoized point sets
+_LAYOUT = st.sampled_from(["scalar", "row", "column"])
+_QUERY = st.tuples(_LAYOUT, st.lists(st.floats(0.0, 1.0), min_size=1,
+                                     max_size=6))
+
+
+def _point_set(query, lo, hi):
+    """A query of [0, 1] moved onto [lo, hi]: a float, a row or a column."""
+    layout, xs = query
+    points = lo + np.array(xs) * (hi - lo)
+    return {"scalar": float(points[0]), "row": points,
+            "column": points[:, None]}[layout]
+
+
+def _arrays(result):
+    """Every value a ProfileJets or CurveData holds, in field order."""
+    for item in result:
+        yield from item.derivatives() if isinstance(item, Jet3) else (item,)
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(_arrays(got), _arrays(want), strict=True):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def _assert_read_only(result):
+    arrays = [a for a in _arrays(result) if isinstance(a, np.ndarray)]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+@settings(deadline=None, max_examples=40)
+@given(tag=st.sampled_from(TAGS), earlier=st.lists(_QUERY, max_size=5),
+       query=_QUERY)
+def test_memoized_jets_and_curve_data_are_fresh_ones(tag, earlier, query):
+    # the standard instances are shared with every other test, so their
+    # memos hold whatever was queried before; a fresh profile (rebuilt
+    # from its spec) and a fresh directrix (a copy with an empty memo)
+    # must give the same bits, and the memos stay bounded
+    surface, spec, grid = standard_instances()[tag]
+    profile, curve = surface.profile, surface.directrix
+    u_range, v_range = (grid.u_min, grid.u_max), (grid.v_min, grid.v_max)
+    for q in earlier:
+        profile.jets(_point_set(q, *u_range))
+        curve.data(_point_set(q, *v_range))
+    u, v = _point_set(query, *u_range), _point_set(query, *v_range)
+    jets, data = profile.jets(u), curve.data(v)
+    assert profile.jets(np.copy(u)) is jets and curve.data(np.copy(v)) is data
+    _assert_same_bits(jets, build_profile(spec).jets(u))
+    _assert_same_bits(data, dataclasses.replace(curve).data(v))
+    _assert_read_only(jets)
+    _assert_read_only(data)
+    for point_set in (u, v):
+        assert np.ndim(point_set) == 0 or point_set.flags.writeable
+    assert len(profile._memo.entries) <= MEMO_SIZE
+    assert len(curve._memo.entries) <= MEMO_SIZE
+
+
+@settings(deadline=None, max_examples=30)
+@given(tag=st.sampled_from(TAGS), earlier=st.lists(_QUERY, max_size=3),
+       query=_QUERY, outside=st.sampled_from(["below", "above", "nan"]))
+def test_refused_query_is_not_memoized(tag, earlier, query, outside):
+    surface, _, grid = standard_instances()[tag]
+    profile, curve = surface.profile, surface.directrix
+    for q in earlier:
+        profile.jets(_point_set(q, grid.u_min, grid.u_max))
+    # past a domain's end, or infinite where the domain has none; the
+    # directrices take every finite v, so only NaN is refused there
+    domain = profile.domain
+    bad = {"below": domain.lo - 1.0, "above": domain.hi + 1.0,
+           "nan": np.nan}[outside]
+    layout, xs = query
+    points = np.append(_point_set(("row", xs), grid.u_min, grid.u_max), bad)
+    u = {"scalar": bad, "row": points, "column": points[:, None]}[layout]
+    before = profile._memo.entries
+    with pytest.raises(OutOfDomain):
+        profile.jets(u)
+    with pytest.raises(OutOfDomain):
+        profile.jets(u)
+    assert profile._memo.entries is before
+    before = curve._memo.entries
+    with pytest.raises(OutOfDomain):
+        curve.data(np.nan)
+    assert curve._memo.entries is before
+
+
+def test_memo_keeps_no_view_of_the_callers_array():
+    # f = u: Jet3.variable hands its input back, so f's value is the
+    # point set itself; g = sqrt(2) u keeps f'^2 - g'^2 = -1
+    profile = MeridianProfile(
+        f_eval=Jet3.variable,
+        g_eval=lambda u: Jet3.variable(u) * np.sqrt(2.0),
+        domain=Interval(0.5, 2.0, closed=True))
+    u = np.linspace(0.5, 2.0, 7)
+    jets = profile.jets(u)
+    assert u.flags.writeable and not jets.f.f.flags.writeable
+    with pytest.raises(ValueError):
+        jets.f.f[0] = 1.0
+    u[0] = 1.0              # the caller's later write reaches no stored result
+    assert jets.f.f[0] == 0.5
+    assert profile.jets(np.linspace(0.5, 2.0, 7)) is jets
+    assert profile.jets(u).f.f[0] == 1.0
+
+
+def test_memo_shared_between_threads_gives_fresh_results():
+    # more threads than cores, switching often, on overlapping point sets
+    surface, spec, grid = standard_instances()["CMC"]
+    profile = build_profile(spec)
+    queries = [np.linspace(grid.u_min, grid.u_max, n) for n in (3, 4, 5)]
+    want = [build_profile(spec).jets(u) for u in queries]
+    bad = []
+
+    def work(k):
+        try:
+            for i in range(60):
+                j = (i + k) % len(queries)
+                got = profile.jets(queries[j]).f.f
+                if got.tobytes() != want[j].f.f.tobytes():
+                    bad.append((k, i))
+        except Exception as exc:    # a race that raises fails the test too
+            bad.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad and len(profile._memo.entries) <= MEMO_SIZE
+
+
+def test_memo_is_not_part_of_the_records_value():
+    profile = standard_instances()["PNMC1"][0].profile
+    curve = latitude_circle(1.0)
+    profile.jets(0.1)
+    curve.data(0.1)
+    for record in (profile, curve):
+        copy = dataclasses.replace(record)
+        assert copy == record and hash(copy) == hash(record)
+        assert "_memo" not in repr(record)
+        assert not copy._memo.entries and record._memo.entries
 
 
 # ------------------------------------------- factored against ambient route
