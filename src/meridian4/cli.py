@@ -71,6 +71,7 @@ from .families import FamilySpec, build_profile, build_surface, verify_family
 from .geometry import (_E4, MeridianSurface, curve_from_curvature, great_circle,
                        latitude_circle)
 from .grids import Grid2, json_number, json_safe
+from .minkowski import DEFAULT_CAUSAL_TOL
 from .natural_pde import (
     IsotropicChart,
     ScalarField2,
@@ -235,7 +236,8 @@ _BLOCK_ROWS = 4096
 _CAUSAL_NAMES = np.array(["spacelike", "timelike", "lightlike"], dtype=object)
 
 
-def _causal_names(q: np.ndarray, tail: str = "", tol: float = 1e-10) -> list:
+def _causal_names(q: np.ndarray, tail: str = "",
+                  tol: float = DEFAULT_CAUSAL_TOL) -> list:
     """Causal class of each squared norm, each name followed by ``tail``;
     |q| <= tol (or NaN) is lightlike."""
     return (_CAUSAL_NAMES + tail)[
@@ -244,6 +246,10 @@ def _causal_names(q: np.ndarray, tail: str = "", tol: float = 1e-10) -> list:
 
 #: One %-conversion of a row template: flags, width, precision, type.
 _SPEC = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z]")
+
+#: A conversion whose text is monotone in the value on each side of zero:
+#: ``%`` rounds correctly, so a value between two of one text has it too.
+_MONOTONE_SPEC = re.compile(r"%\.\d+g")
 
 #: Separates the cells in the ``%`` result of a block; no formatted value
 #: or template literal holds it.
@@ -259,14 +265,27 @@ class _Distinct:
     them: np.unique would import numpy.ma (about 1 MiB and 10-20 ms).  An
     entry (text, pointer, bits) takes about ten times the 8 bytes of a
     value, so only a column with at most an eighth of its values distinct
-    gets a table, which then holds at most about 1.25 columns' worth.
+    gets a table, which then holds at most about 1.25 columns' worth.  A
+    column whose first n//8 + 1 values are all distinct is refused from
+    that prefix alone, before the whole column is sorted.  The table's
+    text is one ``%`` over all the values, split on the sentinel.
     """
 
     def __init__(self, bits: np.ndarray, spec: str, tail: str):
         self.bits = bits        # sorted distinct bit patterns
-        # a memoryview yields one float at a time: no list of them all
-        self.text = np.array([spec % x + tail for x in
-                              memoryview(bits.view(np.float64))], dtype=object)
+        fmt = spec + tail.replace("%", "%%") + _SENTINEL
+        self.text = np.array(
+            (fmt * len(bits) % tuple(bits.view(np.float64).tolist()))
+            .split(_SENTINEL)[:-1], dtype=object)
+
+    @staticmethod
+    def _sorted_new(bits: np.ndarray) -> tuple:
+        """Sorted bit patterns and whether each differs from the one before."""
+        bits = np.sort(bits, axis=None)
+        new = np.empty(len(bits), dtype=bool)
+        new[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        return bits, new
 
     @classmethod
     def of(cls, col: np.ndarray, spec: str, tail: str = ""):
@@ -274,10 +293,15 @@ class _Distinct:
         values distinct; None for any other column."""
         if col.dtype != np.float64:
             return None
-        bits = np.sort(col.view(np.int64), axis=None)
-        new = np.empty(len(bits), dtype=bool)
-        new[:1] = True
-        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        bits = col.view(np.int64)
+        m = bits.size // 8 + 1
+        # the first m values, from the leading rows that hold them: if
+        # these are all distinct, so are more than an eighth of the values
+        per_row = max(1, bits[:1].size)
+        head = bits[:-(-m // per_row)].ravel()[:m]
+        if cls._sorted_new(head)[1].all():
+            return None
+        bits, new = cls._sorted_new(bits)
         if 8 * np.count_nonzero(new) > len(bits):
             return None
         bits = bits[new]        # frees the sorted copy before the text
@@ -290,13 +314,58 @@ class _Distinct:
                                          part.view(np.int64))].tolist()
 
 
-def _constant_along(col: np.ndarray, axis: int) -> bool:
-    """Whether a float column holds one bit pattern along each grid row
-    (axis 1) or along each grid column (axis 0)."""
+def _row_text(col, spec: str, tail: str) -> list:
+    """The one text of each grid row of a column, followed by ``tail``, or
+    None on a row whose cells may not all have it.
+
+    A row has one text when the text of its min is that of its max and
+    every value between them has it too:
+
+    - a pair's text is a step function of the value (the causal class),
+      so the row must hold no NaN, which min and max would carry;
+    - a ``%.<p>g`` conversion rounds correctly, so it is monotone on each
+      side of zero: the row must neither hold nor straddle 0 (0.0 and -0.0
+      are equal, and print apart), which a NaN fails too; an infinity
+      prints as no finite value does;
+    - on any other row, and for any other conversion (``%r``), min and
+      max are taken of the bit patterns: the cells share one.
+
+    Min and max are reductions along the row, so no grid-sized temporary
+    is made.
+    """
+    if isinstance(col, tuple):
+        text, q = col
+        lo, hi = q.min(axis=1), q.max(axis=1)
+        whole = (~np.isnan(lo)).tolist()
+        return [a if w and a == b else None for a, b, w in
+                zip(text(lo, tail=tail), text(hi, tail=tail), whole)]
+    out = [None] * len(col)
+    if col.dtype != np.float64:
+        return out
+    by_value = np.zeros(len(col), dtype=bool)
+    if _MONOTONE_SPEC.fullmatch(spec):
+        lo, hi = col.min(axis=1), col.max(axis=1)
+        by_value = (lo > 0) | (hi < 0)
+        lo, hi = lo.tolist(), hi.tolist()
+        for i in np.flatnonzero(by_value).tolist():
+            t = spec % lo[i]
+            if lo[i] == hi[i] or t == spec % hi[i]:
+                out[i] = t + tail
+    if not by_value.all():
+        bits = col.view(np.int64)
+        same = (bits.min(axis=1) == bits.max(axis=1)) & ~by_value
+        for i in np.flatnonzero(same).tolist():
+            out[i] = spec % float(col[i, 0]) + tail
+    return out
+
+
+def _constant_down(col: np.ndarray) -> bool:
+    """Whether a float column holds one bit pattern down each grid
+    column."""
     if col.dtype != np.float64:
         return False
     bits = col.view(np.int64)
-    return bool(np.all(bits == (bits[:, :1] if axis else bits[:1])))
+    return bool(np.all(bits == bits[:1]))
 
 
 def _row_texts(pieces: list, nu: int, template: bool = False) -> list:
@@ -319,7 +388,7 @@ class _Floats:
     """A run of a row that holds per-cell floats: one ``%`` per block.
 
     The template of one cell is kept per grid row, with the text of the
-    run's row-constant columns and literals baked in.
+    run's row-text columns and literals baked in.
     """
 
     def __init__(self, pieces: list, shape: tuple):
@@ -346,6 +415,20 @@ def _lookup(text, col: np.ndarray, r0: int, r1: int) -> list:
     return text(col[r0:r1].ravel())
 
 
+def _formatted(fmt: str, part: np.ndarray) -> list:
+    """``fmt % x`` for each value x of a part of a column."""
+    return [fmt % x for x in part.tolist()]
+
+
+def _per_row(rows: list, cells, nv: int, r0: int, r1: int) -> list:
+    """Each cell of grid rows r0..r1-1: its row's one text, nv times, or
+    on a row without one (None), the strings of ``cells`` for the row."""
+    out = []
+    for i, t in enumerate(rows[r0:r1], r0):
+        out += [t] * nv if t is not None else cells(i, i + 1)
+    return out
+
+
 def _repeat(rows: np.ndarray, nv: int, r0: int, r1: int) -> list:
     """Each text of grid rows r0..r1-1, once per cell of its row."""
     return np.repeat(rows[r0:r1], nv).tolist()
@@ -362,18 +445,22 @@ def _row_blocks(template: str, cols: list, sep: str = ""):
 
     A column is a float array, or a pair (text, array) whose ``text(part,
     tail=...)`` gives the string of each cell of a part followed by
-    ``tail``.  A block holds max(1, _BLOCK_ROWS // nv) grid rows.  Every
-    float is written by ``%`` with its own conversion, and the bytes are
-    those of ``template % row``.  What changes is how often a value is
-    converted and how a cell's text is put together:
+    ``tail``, and is a step function of the value.  A block holds
+    max(1, _BLOCK_ROWS // nv) grid rows.  Every float is written by ``%``
+    with its own conversion, and the bytes are those of ``template %
+    row``.  What changes is how often a value is converted and how a
+    cell's text is put together:
 
-    - a column constant along each grid row is formatted once per grid
-      row, and one constant along each grid column once per grid column;
+    - a column whose every grid row has one text (see :func:`_row_text`)
+      is formatted once per grid row, and one constant down each grid
+      column once per grid column;
+    - a column with one text on at least 7/8 of its rows gives that text
+      nv times on those rows, and each cell's own text on the others;
     - a column with few distinct values is formatted once per value (see
       :class:`_Distinct`), and a pair's strings come from its text;
-    - the other columns, with the row-constant ones next to them, are
+    - the other columns, with the row-text ones next to them, are
       one ``%`` per block (see :class:`_Floats`), split into cells on a
-      sentinel; a run of row-constant columns alone is repeated as text.
+      sentinel; a run of row-text columns alone is repeated as text.
 
     The block joins, cell by cell, the strings of these segments, each of
     which ends in the literal after it; if one run of floats spans the
@@ -388,19 +475,24 @@ def _row_blocks(template: str, cols: list, sep: str = ""):
     runs = [[sep + literals[0] % ()]]
     for c, spec, lit in zip(cols, specs, literals[1:]):
         tail = lit % ()
+        rows = _row_text(c, spec, tail)
+        mostly_one = 8 * rows.count(None) <= nu
+        if None not in rows:
+            runs[-1].append(rows)
+            continue
         if isinstance(c, tuple):
             cells = partial(_lookup, partial(c[0], tail=tail), c[1])
-        elif _constant_along(c, 1):
-            runs[-1].append([spec % x + tail for x in c[:, 0].tolist()])
-            continue
-        elif _constant_along(c, 0):
+        elif mostly_one:
+            cells = partial(_lookup, partial(_formatted, spec + lit), c)
+        elif _constant_down(c):
             cells = partial(_tile, [spec % x + tail for x in c[0].tolist()])
         elif (table := _Distinct.of(c, spec, tail)) is not None:
             cells = partial(_lookup, table.strings, c)
         else:
             runs[-1].append((spec + lit, c))
             continue
-        runs += [cells, []]
+        runs += [partial(_per_row, rows, cells, nv) if mostly_one else cells,
+                 []]
     segments = []       # each gives the text of a block's cells
     for run in runs:
         if callable(run):
@@ -444,38 +536,47 @@ def _write_csv(path: Path, sweep: dict):
         fh.writelines(_row_blocks(_csv_template(14, 2), cols))
 
 
-#: 10, 100, ..., 10**18: a positive int64 x has searchsorted(x, "right") + 1
-#: decimal digits.
-_POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
 def _face_lines(nu: int, nv: int):
     """Yield the bytes of the OBJ lines ``f a b c d`` of the grid's quads.
 
     Face k of row i, column j has the corners a = i nv + j + 1, a + nv,
-    a + nv + 1 and a + 1.  Faces go _BLOCK_ROWS at a time.  Each corner
-    grows with k, and so does its digit count; a block therefore splits
-    into runs of lines of one width, and each run is a (lines, width)
-    matrix of ASCII bytes whose digits come from repeated divmod by 10.
+    a + nv + 1 and a + 1.  Faces go _BLOCK_ROWS at a time, and each block
+    makes one table of ASCII digits: the vertex indices its faces touch,
+    a0 through a1 + nv + 1, right-aligned in the width of the last.  The
+    table is per block, so it stays as small as the block's lines.  Each
+    corner grows with k, and so does its digit count; a block therefore
+    splits, where a corner reaches a power of 10, into runs of lines of
+    one width, and each run is a (lines, width) matrix of ASCII bytes
+    whose corners are gathered from the table.
     """
     n = (nu - 1) * (nv - 1)
     for s in range(0, n, _BLOCK_ROWS):
         i, j = np.divmod(np.arange(s, min(s + _BLOCK_ROWS, n)), nv - 1)
         a = i * nv + j + 1
-        corners = (a, a + nv, a + nv + 1, a + 1)
-        digits = [np.searchsorted(_POWERS_OF_10, c, "right") + 1
-                  for c in corners]
-        cuts = [0, *(np.flatnonzero(np.diff(sum(digits))) + 1), len(a)]
+        a0, top = int(a[0]), int(a[-1]) + nv + 1
+        width = len(str(top))
+        table = np.empty((top - a0 + 1, width), np.uint8)
+        index = np.arange(a0, top + 1)
+        for p in range(width - 1, -1, -1):
+            index, table[:, p] = np.divmod(index, 10)
+        table += ord("0")
+        offsets = (0, nv, nv + 1, 1)
+        # where a corner a + o first reaches each power of 10 in the table
+        cuts = {0, len(a)}
+        for e in range(len(str(a0)), width):
+            cuts.update(np.searchsorted(a, [10 ** e - o for o in offsets])
+                        .tolist())
+        cuts = sorted(cuts)
+        rows = a - a0
         for r0, r1 in zip(cuts[:-1], cuts[1:]):
-            widths = [int(d[r0]) for d in digits]
+            widths = [len(str(int(a[r0]) + o)) for o in offsets]
             lines = np.full((r1 - r0, sum(widths) + 6), ord(" "), np.uint8)
             lines[:, 0], lines[:, -1] = ord("f"), ord("\n")
             end = 1
-            for c, w in zip(corners, widths):
-                c, end = c[r0:r1], end + 1 + w
-                for p in range(end - 1, end - 1 - w, -1):
-                    c, lines[:, p] = np.divmod(c, 10)
-                lines[:, end - w:end] += ord("0")
+            for o, w in zip(offsets, widths):
+                end += 1 + w
+                lines[:, end - w:end] = table.take(rows[r0:r1] + o,
+                                                   axis=0)[:, width - w:]
             yield lines.tobytes()
 
 

@@ -626,7 +626,7 @@ def test_writers_hold_no_copy_of_the_grid(write, cmc_cfg, tmp_path,
                                           monkeypatch):
     # the writers read the sweep's columns in place and copy one block
     # of rows at a time, so the peak above the sweep is the distinct-value
-    # tables and one block: CSV 2.9 and OBJ 1.2 grids; flattened copies
+    # tables and one block: CSV 2.3 and OBJ 1.2 grids; flattened copies
     # of the columns read 14.3 and 9.2
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 512)
     surface, _, grid = _cmc_200(cmc_cfg)
@@ -815,6 +815,10 @@ def test_writers_match_reference_bytes(name, block_rows, tmp_path,
 @example(nu=2, nv=2, block_rows=1)
 @example(nu=4, nv=4, block_rows=7)       # corners cross 9 -> 10
 @example(nu=60, nv=60, block_rows=7)     # and 99 -> 100, 999 -> 1000
+# a block's digit table, a through a + nv + 1, crosses 10, 100, 1000, 10**4
+@example(nu=3, nv=95, block_rows=1)
+@example(nu=2, nv=996, block_rows=7)
+@example(nu=3, nv=4996, block_rows=7)
 def test_face_digit_rows_match_reference_bytes(nu, nv, block_rows):
     # every face line f a b c d, digit-width changes inside a block included
     sweep = {"z": np.zeros((nu, nv, 4))}
@@ -831,12 +835,75 @@ def test_face_digit_rows_match_reference_bytes(nu, nv, block_rows):
     assert got.count(b"\nf ") == (nu - 1) * (nv - 1)
 
 
+def test_face_digit_tables_stay_per_block(monkeypatch):
+    # each block's digit table holds only the vertex indices its faces
+    # touch, so the peak does not grow with the grid: at 400x400 a block
+    # touches nv more indices, with one more digit each, about 9 KiB;
+    # a table of the whole grid would add more than 1 MiB
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 512)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            for _ in cli._face_lines(n, n):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) - peak(200) < 32 * 1024
+
+
 #: Values whose text or bits are easy to get wrong: signed zeros, a NaN
 #: with another payload (the same text, other bits) and the infinities.
 _SPECIALS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1 / 3,
              -2.5e-300, 1e22, float(np.array(0x7FF8000000000001).view(float))]
 
-_KINDS = ["row", "row but one", "column", "few", "distinct", "causal"]
+#: Values whose %.12g and %.9g texts stay put a few ulps away.
+_SETTLED = [1 / 3, -2 / 3, 7.25, -3.1e-7, 123456.789, 1e22, -5e-300]
+
+
+def _across(mid, spec):
+    """Adjacent doubles on either side of a rounding boundary of spec,
+    the one next to the decimal midpoint ``mid``: two texts, no value
+    between them."""
+    below = math.nextafter(mid, -math.inf)
+    above = math.nextafter(mid, math.inf)
+    pair = (below, mid) if spec % below != spec % mid else (mid, above)
+    assert spec % pair[0] != spec % pair[1]
+    return pair
+
+
+#: Rows that hold both sides of a 12-digit (CSV) or 9-digit (OBJ)
+#: rounding midpoint must not have one text.
+_ACROSS = [_across(1.000000000005, "%.12g"), _across(-2.345678901235, "%.12g"),
+           _across(6.000000000005e-200, "%.12g"), _across(1.000000005, "%.9g"),
+           _across(-7.123456785e10, "%.9g")]
+
+_CAUSAL_TOL = 1e-10
+
+_KINDS = ["row", "row but one", "column", "few", "distinct", "causal",
+          "row text", "row text but one row", "rounding midpoint",
+          "signed zeros", "nonfinite in rows", "causal rows"]
+
+
+def _ulps_apart(x, n, rnd):
+    """n values 0-3 ulps from x, away from zero."""
+    steps = np.array([rnd.randrange(4) for _ in range(n)], dtype=np.int64)
+    return (np.full(n, x).view(np.int64) + steps).view(np.float64)
+
+
+def _causal_row(nv, rnd):
+    """A row of squared norms of one class, or (two rows in five) mixed."""
+    spacelike = lambda: rnd.choice([_CAUSAL_TOL * 1.01, float("inf"),
+                                    rnd.uniform(0, 2) + 1e-9])
+    timelike = lambda: -spacelike()
+    lightlike = lambda: rnd.choice([0.0, -0.0, _CAUSAL_TOL, -_CAUSAL_TOL,
+                                    rnd.uniform(-_CAUSAL_TOL, _CAUSAL_TOL)])
+    mixed = lambda: rnd.choice([spacelike, timelike, lightlike,
+                                lambda: float("nan")])()
+    draw = rnd.choice([spacelike, timelike, lightlike, mixed, mixed])
+    return [draw() for _ in range(nv)]
 
 
 def _writer_column(kind, nu, nv, rnd):
@@ -857,11 +924,37 @@ def _writer_column(kind, nu, nv, rnd):
         return pick(nu * nv, list(pick(2))).reshape(nu, nv)
     if kind == "distinct":
         return np.arange(nu * nv).reshape(nu, nv) * -0.37 + rnd.random()
+    if kind.startswith("row text"):     # one text per row, bits vary
+        col = np.array([_ulps_apart(x, nv, rnd) for x in pick(nu, _SETTLED)])
+        if kind == "row text but one row":
+            col[rnd.randrange(nu), rnd.randrange(nv)] *= 1.5
+        return col
+    if kind == "rounding midpoint":     # both sides of a boundary a row
+        rows = []
+        for _ in range(nu):
+            pair = rnd.sample(rnd.choice(_ACROSS), 2)
+            rows.append(pair + [rnd.choice(pair) for _ in range(nv - 2)])
+        return np.array(rows)
+    if kind == "signed zeros":          # 0.0 and -0.0 in a row, or one
+        return np.array([pick(nv, rnd.choice([[0.0], [-0.0], [0.0, -0.0],
+                                              [0.0, -0.0, -0.0, 1e-300]]))
+                         for _ in range(nu)])
+    if kind == "nonfinite in rows":     # NaN or an infinity in a text row
+        col = np.array([_ulps_apart(x, nv, rnd) for x in pick(nu, _SETTLED)])
+        for _ in range(rnd.randrange(1, 3)):
+            col[rnd.randrange(nu), rnd.randrange(nv)] = rnd.choice(
+                [float("nan"), float("inf"), float("-inf")])
+        if rnd.random() < 0.5:
+            col[rnd.randrange(nu)] = rnd.choice(_SPECIALS[2:5])
+        return col
+    if kind == "causal rows":
+        return (cli._causal_names,
+                np.array([_causal_row(nv, rnd) for _ in range(nu)]))
     return (cli._causal_names, pick(nu * nv, [-1.0, 1.0, 0.0, 1e-11, -1e-11,
                                               float("nan")]).reshape(nu, nv))
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=120)
 @given(nu=st.integers(1, 12), nv=st.integers(2, 12),
        block_rows=st.sampled_from(["1", "7", "nv - 1", "default"]),
        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=7),
@@ -869,6 +962,10 @@ def _writer_column(kind, nu, nv, rnd):
 @example(nu=3, nv=12, block_rows="7", kinds=_KINDS, seed=0)  # nv > rows
 @example(nu=12, nv=12, block_rows="default", kinds=["few", "row", "few"],
          seed=1)
+# 11 of 12 rows with one text: a per-row segment between baked rows
+@example(nu=12, nv=5, block_rows="7", kinds=_KINDS[6:], seed=2)
+@example(nu=9, nv=3, block_rows="1",
+         kinds=["row text but one row", "causal rows", "row text"], seed=3)
 def test_block_writer_matches_row_template(nu, nv, block_rows, kinds, seed):
     # every mix of column kinds, in every writer's template, gives the
     # bytes of the row template applied row by row
@@ -891,6 +988,28 @@ def test_block_writer_matches_row_template(nu, nv, block_rows, kinds, seed):
             assert got == sep.join(template % row for row in rows)
     finally:
         cli._BLOCK_ROWS = old
+
+
+@settings(deadline=None, max_examples=100)
+@given(kind=st.sampled_from(_KINDS), nu=st.integers(1, 12),
+       nv=st.integers(2, 12), seed=st.integers(0, 2 ** 32))
+def test_row_text_is_the_text_of_every_cell(kind, nu, nv, seed):
+    # a row's one text is that of each of its cells, and the rows built
+    # to have one get it: by bits for %r, by value for %.<p>g
+    col = _writer_column(kind, nu, nv, random.Random(seed))
+    for spec in ("%.12g", "%.9g", "%r"):
+        got = cli._row_text(col, spec, ";")
+        assert len(got) == nu
+        for i, text in enumerate(got):
+            if isinstance(col, tuple):
+                cells = {_ref_causal_name(q) + ";" for q in col[1][i].tolist()}
+            else:
+                cells = {spec % x + ";" for x in col[i].tolist()}
+            if text is not None:
+                assert cells == {text}
+            elif kind == "row" or (
+                    kind == "row text" and spec != "%r"):
+                pytest.fail(f"{kind} row {i} has one {spec} text: {cells}")
 
 
 @pytest.mark.parametrize("block_rows", [None, 7])
