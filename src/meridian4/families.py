@@ -411,6 +411,10 @@ def verify_family(surface: MeridianSurface, spec: FamilySpec, grid: Grid2,
     the normal-bundle derivatives of H; the PNMC families check the
     derivatives of H0 and additionally require a non-parallel-H witness
     (max |D_X H| >= 0.01) somewhere on the grid.
+
+    For CMC, ParallelH1 and PNMC2 the jets come from OdeSolution.jet_at,
+    which takes f' = phi(f) at the dense-output value, so the verdict
+    checks the paper's ODE, not the RK4 march (acceptance criterion 4).
     """
     U, V = grid.mesh()
     p = spec.params

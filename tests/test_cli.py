@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from meridian4 import Grid2, cli, natural_pde
+from meridian4 import Grid2, cli, natural_pde, writers
 from meridian4.cli import main
 from meridian4.natural_pde import geometric_functions
 
@@ -628,10 +628,10 @@ def test_writers_hold_no_copy_of_the_grid(write, cmc_cfg, tmp_path,
     # of rows at a time, so the peak above the sweep is the distinct-value
     # tables and one block: CSV 2.3 and OBJ 1.2 grids; flattened copies
     # of the columns read 14.3 and 9.2
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 512)
+    monkeypatch.setattr(writers, "_BLOCK_ROWS", 512)
     surface, _, grid = _cmc_200(cmc_cfg)
     sweep = cli._sweep(surface, grid)
-    run = getattr(cli, write)
+    run = getattr(writers, write)
     assert _peak_grids(lambda: run(tmp_path / "out", sweep), grid) <= 4
 
 
@@ -682,7 +682,7 @@ def test_extreme_ode_parameters_are_a_numeric_failure(cmc_cfg, tmp_path,
 
 # ---------------------------------------------------------------- writers
 # The per-cell csv.writer / f-string writers that the block writers in
-# meridian4.cli replaced, kept as their byte-level reference.
+# meridian4.writers replaced, kept as their byte-level reference.
 
 def _ref_causal_name(q, tol=1e-10):
     if q > tol:
@@ -771,16 +771,20 @@ FLAT_GOLDEN = {
 
 GOLDEN = {"cmc-12x13": _cmc_golden(12, 13), "flat-9x11": FLAT_GOLDEN,
           # 8827 rows and 8640 faces: more than one block, and not a multiple
-          "cmc-91x97": _cmc_golden(91, 97)}
+          "cmc-91x97": _cmc_golden(91, 97),
+          # kappa = 2 + sin v: x3, F, h1 and Hnormsq vary along a row
+          "cmc-sin-40x37": dict(_cmc_golden(40, 37), directrix={
+              "kind": "curvature", "kappa": "sin-offset:2"})}
 
 
 @pytest.mark.parametrize("name, block_rows", [
     ("cmc-12x13", None), ("cmc-12x13", 7), ("flat-9x11", None),
-    ("flat-9x11", 7), ("cmc-91x97", None)])
+    ("flat-9x11", 7), ("cmc-91x97", None), ("cmc-sin-40x37", None),
+    ("cmc-sin-40x37", 7)])
 def test_writers_match_reference_bytes(name, block_rows, tmp_path,
                                        monkeypatch, capsys):
     if block_rows:
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(writers, "_BLOCK_ROWS", block_rows)
     cfg = GOLDEN[name]
     path = write_cfg(tmp_path / "golden.json", cfg)
     gen = tmp_path / "gen"
@@ -811,7 +815,7 @@ def test_writers_match_reference_bytes(name, block_rows, tmp_path,
 
 @settings(deadline=None, max_examples=60)
 @given(nu=st.integers(2, 60), nv=st.integers(2, 60),
-       block_rows=st.sampled_from([1, 7, cli._BLOCK_ROWS]))
+       block_rows=st.sampled_from([1, 7, writers._BLOCK_ROWS]))
 @example(nu=2, nv=2, block_rows=1)
 @example(nu=4, nv=4, block_rows=7)       # corners cross 9 -> 10
 @example(nu=60, nv=60, block_rows=7)     # and 99 -> 100, 999 -> 1000
@@ -822,16 +826,16 @@ def test_writers_match_reference_bytes(name, block_rows, tmp_path,
 def test_face_digit_rows_match_reference_bytes(nu, nv, block_rows):
     # every face line f a b c d, digit-width changes inside a block included
     sweep = {"z": np.zeros((nu, nv, 4))}
-    old = cli._BLOCK_ROWS
-    cli._BLOCK_ROWS = block_rows
+    old = writers._BLOCK_ROWS
+    writers._BLOCK_ROWS = block_rows
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            cli._write_obj(Path(tmp) / "got.obj", sweep)
+            writers._write_obj(Path(tmp) / "got.obj", sweep)
             _ref_write_obj(Path(tmp) / "ref.obj", sweep)
             got = (Path(tmp) / "got.obj").read_bytes()
             assert got == (Path(tmp) / "ref.obj").read_bytes()
     finally:
-        cli._BLOCK_ROWS = old
+        writers._BLOCK_ROWS = old
     assert got.count(b"\nf ") == (nu - 1) * (nv - 1)
 
 
@@ -840,12 +844,12 @@ def test_face_digit_tables_stay_per_block(monkeypatch):
     # touch, so the peak does not grow with the grid: at 400x400 a block
     # touches nv more indices, with one more digit each, about 9 KiB;
     # a table of the whole grid would add more than 1 MiB
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 512)
+    monkeypatch.setattr(writers, "_BLOCK_ROWS", 512)
 
     def peak(n):
         tracemalloc.start()
         try:
-            for _ in cli._face_lines(n, n):
+            for _ in writers._face_lines(n, n):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -948,9 +952,9 @@ def _writer_column(kind, nu, nv, rnd):
             col[rnd.randrange(nu)] = rnd.choice(_SPECIALS[2:5])
         return col
     if kind == "causal rows":
-        return (cli._causal_names,
+        return (writers._causal_names,
                 np.array([_causal_row(nv, rnd) for _ in range(nu)]))
-    return (cli._causal_names, pick(nu * nv, [-1.0, 1.0, 0.0, 1e-11, -1e-11,
+    return (writers._causal_names, pick(nu * nv, [-1.0, 1.0, 0.0, 1e-11, -1e-11,
                                               float("nan")]).reshape(nu, nv))
 
 
@@ -962,8 +966,11 @@ def _writer_column(kind, nu, nv, rnd):
 @example(nu=3, nv=12, block_rows="7", kinds=_KINDS, seed=0)  # nv > rows
 @example(nu=12, nv=12, block_rows="default", kinds=["few", "row", "few"],
          seed=1)
-# 11 of 12 rows with one text: a per-row segment between baked rows
+# 11 of 12 rows with one text: a table or per-cell floats between baked rows
 @example(nu=12, nv=5, block_rows="7", kinds=_KINDS[6:], seed=2)
+# a broadcast column with nu >= 8 has a distinct-value table in every template
+@example(nu=9, nv=4, block_rows="7",
+         kinds=["column", "row text but one row", "causal rows"], seed=4)
 @example(nu=9, nv=3, block_rows="1",
          kinds=["row text but one row", "causal rows", "row text"], seed=3)
 def test_block_writer_matches_row_template(nu, nv, block_rows, kinds, seed):
@@ -974,8 +981,8 @@ def test_block_writer_matches_row_template(nu, nv, block_rows, kinds, seed):
     rows = [tuple(_ref_causal_name(c[1][i, j]) if isinstance(c, tuple)
                   else float(c[i, j]) for c in cols)
             for i in range(nu) for j in range(nv)]
-    old = cli._BLOCK_ROWS
-    cli._BLOCK_ROWS = {"1": 1, "7": 7, "nv - 1": nv - 1, "default": old}[
+    old = writers._BLOCK_ROWS
+    writers._BLOCK_ROWS = {"1": 1, "7": 7, "nv - 1": nv - 1, "default": old}[
         block_rows]
     try:
         for head, spec, between, end, sep in (
@@ -984,10 +991,10 @@ def test_block_writer_matches_row_template(nu, nv, block_rows, kinds, seed):
                 ("[", "%r", ", ", "]", ", ")):           # grid JSON
             template = head + between.join(
                 "%s" if isinstance(c, tuple) else spec for c in cols) + end
-            got = "".join(cli._row_blocks(template, cols, sep))
+            got = "".join(writers._row_blocks(template, cols, sep))
             assert got == sep.join(template % row for row in rows)
     finally:
-        cli._BLOCK_ROWS = old
+        writers._BLOCK_ROWS = old
 
 
 @settings(deadline=None, max_examples=100)
@@ -998,7 +1005,7 @@ def test_row_text_is_the_text_of_every_cell(kind, nu, nv, seed):
     # to have one get it: by bits for %r, by value for %.<p>g
     col = _writer_column(kind, nu, nv, random.Random(seed))
     for spec in ("%.12g", "%.9g", "%r"):
-        got = cli._row_text(col, spec, ";")
+        got = writers._row_text(col, spec, ";")
         assert len(got) == nu
         for i, text in enumerate(got):
             if isinstance(col, tuple):
@@ -1019,7 +1026,7 @@ def test_distinct_value_path_matches_reference_bytes(block_rows, tmp_path,
     # formatted once each; x1 and Kperp: every value distinct, through
     # the row template
     if block_rows:
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(writers, "_BLOCK_ROWS", block_rows)
     surface, _, grid = cli._build_surface(GOLDEN["cmc-12x13"])
     sweep = {k: np.array(a) for k, a in cli._sweep(surface, grid).items()}
     shape = sweep["E"].shape
@@ -1027,18 +1034,18 @@ def test_distinct_value_path_matches_reference_bytes(block_rows, tmp_path,
     every = np.arange(few.size).reshape(shape) * -0.37 + 1e-9
     sweep["z"][..., 3] = sweep["K"] = few
     sweep["z"][..., 0] = sweep["Kperp"] = every
-    assert cli._Distinct.of(np.ravel(few), "%.12g") is not None
-    assert cli._Distinct.of(np.ravel(every), "%.12g") is None
+    assert writers._Distinct.of(np.ravel(few), "%.12g") is not None
+    assert writers._Distinct.of(np.ravel(every), "%.12g") is None
 
-    for write, ref in ((cli._write_csv, _ref_write_csv),
-                       (cli._write_obj, _ref_write_obj)):
+    for write, ref in ((writers._write_csv, _ref_write_csv),
+                       (writers._write_obj, _ref_write_obj)):
         write(tmp_path / "got", sweep)
         ref(tmp_path / "ref", sweep)
         got = (tmp_path / "got").read_bytes()
         assert got == (tmp_path / "ref").read_bytes()
         assert b"-0," in got or b" -0 " in got
-    cli._write_grid_json(tmp_path / "s.json", {}, cli.CSV_COLUMNS[:14],
-                         cli._grid_columns(sweep))
+    writers._write_grid_json(tmp_path / "s.json", {}, cli.CSV_COLUMNS[:14],
+                             writers._grid_columns(sweep))
     assert (tmp_path / "s.json").read_text() == _ref_grid_json(sweep, {})
 
 
@@ -1046,7 +1053,7 @@ def test_distinct_value_path_matches_reference_bytes(block_rows, tmp_path,
 def test_geomfuncs_csv_matches_reference_bytes(block_rows, tmp_path,
                                                monkeypatch, capsys):
     if block_rows:
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(writers, "_BLOCK_ROWS", block_rows)
     cfg = _cmc_golden(6, 5)
     path = write_cfg(tmp_path / "gf.json", cfg)
     out = tmp_path / "gf"
@@ -1080,7 +1087,7 @@ _PNMC2_30X20 = {
 def test_geomfuncs_json_matches_reference_bytes(cfg, block_rows, tmp_path,
                                                 monkeypatch, capsys):
     if block_rows:
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(writers, "_BLOCK_ROWS", block_rows)
     path = write_cfg(tmp_path / "gf.json", cfg)
     out = tmp_path / "gf"
     assert main(["geomfuncs", "--config", path, "--out", str(out),
@@ -1144,8 +1151,8 @@ def test_grid_json_writes_nonfinite_as_null(flat_cfg, tmp_path):
     def reject(token):
         raise ValueError(f"bare {token} is not JSON")
 
-    cli._write_grid_json(tmp_path / "s.json", {}, cli.CSV_COLUMNS[:14],
-                         cli._grid_columns(sweep))
+    writers._write_grid_json(tmp_path / "s.json", {}, cli.CSV_COLUMNS[:14],
+                             writers._grid_columns(sweep))
     data = json.loads((tmp_path / "s.json").read_text(), parse_constant=reject)
     rows = data["rows"]
     assert rows[0][9] is None and rows[1][10] is None and rows[12][11] is None
