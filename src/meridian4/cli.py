@@ -65,7 +65,8 @@ import numpy as np
 from . import acceptance
 from .diffkit import Jet3, SmoothFn1, constant_fn, jet_fn, poly_fn, sin_offset_fn
 from .errors import MeridianError
-from .families import FamilySpec, build_profile, build_surface, verify_family
+from .families import (FamilySpec, build_profile, build_surface, make_minimal,
+                       verify_family)
 from .geometry import (_E4, MeridianSurface, curve_from_curvature, great_circle,
                        latitude_circle)
 from .grids import Grid2, json_number
@@ -337,8 +338,15 @@ def cmd_pde(cfg: dict, out_dir: Path | None, tol: float) -> int:
             if not match:
                 raise ConfigError(f"unknown solution selector {sol!r}")
             a, b = float(match.group(1)), float(match.group(2))
+            if not (np.isfinite(a) and np.isfinite(b)):
+                raise ConfigError(
+                    f"family(a, b) needs finite a and b, not {sol!r}")
         lam, mu, nu = solution_family(a, b, kappa)
         if system == "degenerate":
+            # the fields are real only on the family's profile interval,
+            # which the other systems' surface refuses to leave too
+            make_minimal(a, b).domain.require(grid.u_points(), "u",
+                                              "profile domain")
             report = residual_degenerate(lam, mu, nu, grid, tol=tol)
         else:
             if not grid.u_max > grid.u_min:

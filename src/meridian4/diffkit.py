@@ -574,6 +574,14 @@ class OdeSolution(NamedTuple):
                                 self.h, self.values, u)
         return out if u.ndim else float(out)
 
+    def slope_at(self, u):
+        """f' = phi(f) at the dense-output value, from phi's value alone
+        (:func:`float_value`): ``jet_at(u).d1`` bit for bit wherever that
+        is finite (see :func:`expr_fn`), without building a jet."""
+        y = self.value_at(u)
+        with _quiet():
+            return float_value(self.phi, y)
+
     def jet_at(self, u) -> Jet3:
         """Jets per the defining equation at the dense-output value."""
         y = self.value_at(u)

@@ -35,14 +35,15 @@ from the same triples when first read, and kept.
 
 Surfaces and curves are immutable after construction; every evaluation
 is pure, so grid sweeps may be parallelized freely.  A profile's jets
-and a directrix's data are memoized per point set (:class:`_Memo`); a
-hit is bit for bit a fresh evaluation, and the memo is safe to share
-between threads.
+and a directrix's data are memoized per point set, keyed by its values
+(:class:`_Memo`); a hit is bit for bit a fresh evaluation, and the memo
+is safe to share between threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -105,12 +106,15 @@ MEMO_SIZE = 2
 
 
 class _Memo:
-    """The results of a pure function of one float array for the last
-    :data:`MEMO_SIZE` distinct inputs, keyed by shape and bytes, so a
-    hit is bit-identical to a fresh evaluation.  The function sees a
-    private copy of its input, never the caller's array; a result is
-    stored only if the function returns, and its arrays are read-only
-    views (:func:`_read_only`).  The entries are one tuple, replaced
+    """The results of a pure, pointwise function of one float array for
+    the last :data:`MEMO_SIZE` distinct inputs, keyed by their values, so
+    a hit is bit-identical to a fresh evaluation.  The function sees a
+    private flat copy of its input, never the caller's array; a result
+    is stored only if the function returns, and its arrays are read-only
+    views (:func:`_read_only`).  A query of the same values in another
+    shape gets those arrays reshaped, without a new evaluation; a repeat
+    in the same shape gets the same object.  A 0-d query has its own key,
+    since it gets floats back.  The entries are one tuple, replaced
     whole, so a reader never sees a half-made update."""
 
     __slots__ = ("entries",)
@@ -120,27 +124,53 @@ class _Memo:
 
     def __call__(self, compute, x):
         x = np.array(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        for k, result in self.entries:
+        key = (x.ndim == 0, x.tobytes())
+        entries = self.entries
+        for i, (k, flat, shaped) in enumerate(entries):
             if k == key:
+                result = shaped.get(x.shape)
+                if result is None:
+                    result = _reshaped(flat, x.shape)
+                    entry = (k, flat, {**shaped, x.shape: result})
+                    self.entries = entries[:i] + (entry,) + entries[i + 1:]
                 return result
-        result = _read_only(compute(x))
-        self.entries = ((key, result),) + self.entries[:MEMO_SIZE - 1]
+        flat = _read_only(compute(x.reshape(-1) if x.ndim > 1 else x))
+        result = _reshaped(flat, x.shape) if x.ndim > 1 else flat
+        entry = (key, flat, {x.shape: result})
+        self.entries = (entry,) + entries[:MEMO_SIZE - 1]
         return result
 
 
-def _read_only(x):
-    """x with every array in it, alone, in a Jet3 or in a record of
-    them, replaced by a read-only view: a stored result is shared by
-    every later query of its point set."""
+def _map_arrays(fn, x):
+    """x with fn applied to every array in it, alone, in a Jet3 or in a
+    record of them."""
     if isinstance(x, np.ndarray):
-        x = x.view()
-        x.flags.writeable = False
-    elif isinstance(x, Jet3):
-        x = Jet3(*map(_read_only, x.derivatives()))
-    elif isinstance(x, tuple):
-        x = type(x)(*map(_read_only, x))
+        return fn(x)
+    if isinstance(x, Jet3):
+        return Jet3(*(_map_arrays(fn, d) for d in x.derivatives()))
+    if isinstance(x, tuple):
+        return type(x)(*(_map_arrays(fn, item) for item in x))
     return x
+
+
+def _read_only(x):
+    """x with every array in it replaced by a read-only view: a stored
+    result is shared by every later query of its point set."""
+    def view(a):
+        a = a.view()
+        a.flags.writeable = False
+        return a
+    return _map_arrays(view, x)
+
+
+def _reshaped(flat, shape: tuple):
+    """A result computed on n points, as the query of ``shape`` gets it:
+    each array whose leading axis holds the n points takes ``shape`` in
+    its place (a view of a read-only array is read-only); a float, or an
+    array that does not vary with the points, stays as it is."""
+    n = math.prod(shape)
+    return _map_arrays(lambda a: (a.reshape(shape + a.shape[1:])
+                                  if a.ndim and a.shape[0] == n else a), flat)
 
 
 def _memo_field():
@@ -249,6 +279,10 @@ def great_circle(domain: Interval = Interval()) -> SphericalCurve:
     return latitude_circle(0.0, domain=domain, name="great-circle")
 
 
+#: Latitude circles kept for reuse, the last ones asked for.
+CIRCLE_CACHE_SIZE = 8
+
+
 def latitude_circle(kappa0: float, domain: Interval = Interval(),
                     name: str = "") -> SphericalCurve:
     """Arc-length circle on S^2(1) with constant geodesic curvature kappa0.
@@ -256,7 +290,23 @@ def latitude_circle(kappa0: float, domain: Interval = Interval(),
     Realized as the colatitude circle with cos(alpha) = kappa0 / sqrt(1 +
     kappa0^2); kappa0 = 0 degenerates to the great circle.  The curvature
     value is cross-checked against the frame closure at load.
+
+    Circles are shared: the same float(kappa0), domain and name give the
+    same instance, its data memo included, for the last
+    :data:`CIRCLE_CACHE_SIZE` circles asked for (so 2 and 2.0 give one
+    circle, named "latitude(kappa=2.0)").  A construction that raises is
+    not kept, so it raises again on the next call.
     """
+    kappa0 = float(kappa0)
+    name = name or f"latitude(kappa={kappa0})"
+    # the reprs tell apart what == does not: -0.0 from 0.0 (whose signs
+    # reach the invariants) and an int end of the domain from a float one
+    return _latitude_circle(repr(kappa0), repr(domain), kappa0, domain, name)
+
+
+@lru_cache(maxsize=CIRCLE_CACHE_SIZE)
+def _latitude_circle(_kappa_repr, _domain_repr, kappa0: float,
+                     domain: Interval, name: str) -> SphericalCurve:
     r = 1.0 / np.hypot(1.0, kappa0)    # sin(alpha), circle radius
     zc = kappa0 / np.hypot(1.0, kappa0)  # cos(alpha), fixed height
 
@@ -267,9 +317,8 @@ def latitude_circle(kappa0: float, domain: Interval = Interval(),
                 Jet3(zc + 0.0 * np.asarray(v, dtype=float), 0.0, 0.0, 0.0))
 
     return SphericalCurve(components=components,
-                          curvature=constant_fn(float(kappa0), domain),
-                          domain=domain,
-                          name=name or f"latitude(kappa={kappa0})")
+                          curvature=constant_fn(kappa0, domain),
+                          domain=domain, name=name)
 
 
 def curve_from_curvature(kappa: SmoothFn1, v_range: tuple[float, float],
@@ -324,6 +373,8 @@ class MeridianProfile:
 
     ``sign_g`` records which branch g' = sign * sqrt(f'^2 + 1) the curve
     uses.  ``ode`` is set when f came from integrating f' = phi(f).
+    ``g_of_f``, when set, gives g at u from the f jets there, as
+    ``g_eval`` does from u alone: a jets query then evaluates f once.
     """
 
     f_eval: Callable[[np.ndarray], Jet3]
@@ -332,11 +383,11 @@ class MeridianProfile:
     sign_g: int = 1
     name: str = ""
     ode: OdeSolution | None = None
+    g_of_f: Callable[[np.ndarray, Jet3], Jet3] | None = None
     _memo: _Memo = _memo_field()
 
     def __post_init__(self):
-        us = self.domain.sample(17)
-        fj, gj = self.f_eval(us), self.g_eval(us)
+        fj, gj = self._fg(self.domain.sample(17))
         if not np.all(fj.f > 0):
             raise NonpositiveProfile(
                 f"profile {self.name!r}: f <= 0 inside the domain")
@@ -355,7 +406,12 @@ class MeridianProfile:
 
     def _jets(self, u) -> ProfileJets:
         self.domain.require(u, "u", "profile domain")
-        return ProfileJets(self.f_eval(u), self.g_eval(u))
+        return self._fg(u)
+
+    def _fg(self, u) -> ProfileJets:
+        fj = self.f_eval(u)
+        return ProfileJets(fj, self.g_eval(u) if self.g_of_f is None
+                           else self.g_of_f(u, fj))
 
     @property
     def stopped_reason(self) -> str | None:
@@ -380,22 +436,30 @@ def profile_from_f_jets(f_eval: Callable[[np.ndarray], Jet3],
     The antiderivative is anchored at the left end of the domain (or at
     u = 0 when unbounded), so g(anchor) = 0; a finite left end must
     belong to the domain, as in the closed ranges the families build.
+    The quadrature reads f' alone.  With ``ode`` given, f_eval is its
+    ``jet_at``, and f' comes from phi's value (``OdeSolution.slope_at``),
+    the same bits without a jet of phi.  g's derivatives come from the f
+    jets of the same query (``g_of_f``), so a jets query evaluates f once.
     """
     anchor = domain.lo if np.isfinite(domain.lo) else 0.0
+    slope = ode.slope_at if ode is not None else lambda u: f_eval(u).d1
 
     def gd_jet(u):      # g' alone: quadrature reads only the value
-        fd = f_eval(np.asarray(u, dtype=float)).d1
+        fd = slope(np.asarray(u, dtype=float))
         return Jet3(sign_g * np.sqrt(fd ** 2 + 1.0))
 
     cumulative = CumulativeQuadrature(SmoothFn1(gd_jet, domain, name="g'"),
                                       anchor, tol=1e-12)
 
+    def g_of_f(u, fj):
+        return g_jet_from_f(fj, sign_g, cumulative(u))
+
     def g_eval(u):
         u = np.asarray(u, dtype=float)
-        return g_jet_from_f(f_eval(u), sign_g, cumulative(u))
+        return g_of_f(u, f_eval(u))
 
     return MeridianProfile(f_eval=f_eval, g_eval=g_eval, domain=domain,
-                           sign_g=sign_g, name=name, ode=ode)
+                           sign_g=sign_g, name=name, ode=ode, g_of_f=g_of_f)
 
 
 # ===========================================================================

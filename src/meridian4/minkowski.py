@@ -135,11 +135,12 @@ def verify_frame(vectors: Sequence[tuple[str, Vec4M]],
         raise ValueError(f"target Gram must be {k}x{k}, got {target.shape}")
 
     labels = tuple(lbl for lbl, _ in vectors)
+    arrays = [_array(w) for _, w in vectors]    # each stacked once
     products: dict[tuple[str, str], float | np.ndarray] = {}
     devs = []
     for i in range(k):
         for j in range(i, k):
-            p = minkowski_inner(vectors[i][1], vectors[j][1])
+            p = minkowski_inner(arrays[i], arrays[j])
             products[(labels[i], labels[j])] = p
             devs.append(np.max(np.abs(p - target[i, j])))
     max_dev = float(np.max(devs))

@@ -279,6 +279,46 @@ def test_out_of_domain_error_names_one_value(tmp_path, capsys):
     assert "outside profile domain (-1.0, 3.0)" in err
 
 
+@pytest.mark.parametrize("system, message", [
+    ("degenerate", "u=-0.9 outside profile domain (0.0, 10.0)"),
+    ("syst1", "u=-0.9 outside profile domain (0.0, 10.0)"),
+    ("fund", "point outside the profile interval")])
+def test_pde_refuses_grid_outside_the_solution_interval(system, message,
+                                                        tmp_path, capsys):
+    # example2's fields are real only on (0, 10); degenerate used to run
+    # them at u = -0.9, warn, and fail as a residual (exit 1)
+    cfg = write_cfg(tmp_path / "out.json", {
+        "system": system, "solution": "example2", "kappa": "sin-offset:2",
+        "grid": {"u_min": -0.9, "u_max": 2.9, "nu": 40,
+                 "v_min": 0.0, "v_max": TWO_PI, "nv": 40},
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pde", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert code == 3 and not caught and out == ""
+    assert err == f"numeric/domain failure: {message}\n"
+
+
+@pytest.mark.parametrize("system", ["degenerate", "syst1", "fund"])
+@pytest.mark.parametrize("solution", ["family(1e400, 1)", "family(1, -1e999)"])
+def test_pde_nonfinite_family_selector_is_config_error(system, solution,
+                                                       tmp_path, capsys):
+    # 1e400 matches the selector's number pattern but reads as inf
+    cfg = write_cfg(tmp_path / "inf.json", {
+        "system": system, "solution": solution,
+        "grid": {"u_min": -0.9, "u_max": 2.9, "nu": 4,
+                 "v_min": 0.0, "v_max": TWO_PI, "nv": 4},
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pde", "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == 2 and not caught
+    assert err == (f"config error: family(a, b) needs finite a and b, "
+                   f"not {solution!r}\n")
+
+
 def test_loose_pde_tol_does_not_declare_mu_zero(tmp_path, capsys):
     # |mu| is about 1 on this grid; a residual tolerance of 1e10 passes
     # every residual and says nothing about whether mu vanishes

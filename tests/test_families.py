@@ -30,6 +30,7 @@ from meridian4 import (
     verify_family,
 )
 from meridian4.acceptance import _cosh_phi, standard_instances
+from meridian4.geometry import profile_from_f_jets
 from meridian4.errors import (
     EmptyInterval,
     NonpositiveProfile,
@@ -539,3 +540,46 @@ def test_pnmc2_float_march_is_the_jet_march(a, c, neg, kappa, f0, branch,
     u_range, h = _u_range(span)
     p = make_pnmc2(a, c, kappa, f0, u_range, h, branch=branch)
     assert_march_is_the_jet_march(p.ode, f0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.sampled_from(["CMC", "ParallelH1", "PNMC2"]),
+       ys=st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=8),
+       us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_ode_profile_g_reads_phi_values_not_jets(tag, ys, us):
+    # on arrays in phi's domain, off the solution too, phi's value is its
+    # jet's f bit for bit, so g' can come from the value (slope_at)
+    surface, spec, _ = standard_instances()[tag]
+    sol = surface.profile.ode
+    phi = sol.phi
+    y = phi.domain.lo + np.array(ys)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert phi.eval_value(y).tobytes() == phi.eval_jet(y).f.tobytes()
+    u = sol.u0 + np.array(us) * (sol.domain.hi - sol.u0)
+    assert sol.slope_at(u).tobytes() == sol.jet_at(u).d1.tobytes()
+
+    # the same profile with phi's jets counted: a g query, and a jets
+    # query, build phi's jet once, for the f jets; the g' quadrature and
+    # its panel sums build none
+    shapes = []
+
+    def eval_jet(x):
+        shapes.append(np.shape(x))
+        return phi.eval_jet(x)
+
+    counted = sol._replace(phi=phi._replace(eval_jet=eval_jet))
+    profile = profile_from_f_jets(counted.jet_at, counted.domain,
+                                  sign_g=surface.profile.sign_g, ode=counted)
+    assert shapes == [(17,)]        # the build's normalization check
+    fresh = build_profile(spec)
+    for name in ("g_eval", "jets"):
+        shapes.clear()
+        got = getattr(profile, name)(u)
+        assert shapes == [u.shape]
+        assert _bits(got) == _bits(getattr(fresh, name)(u))
+
+
+def _bits(result):
+    """The bytes of every derivative of a Jet3 or of a record of them."""
+    jets = result if isinstance(result, tuple) else (result,)
+    return [np.asarray(d).tobytes() for j in jets for d in j.derivatives()]

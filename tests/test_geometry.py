@@ -35,7 +35,8 @@ from meridian4.acceptance import standard_instances
 from meridian4.errors import (InconsistentGeometry, MeridianError, MinimalPoint,
                               NonpositiveProfile, OutOfDomain)
 from meridian4.families import TAGS
-from meridian4.geometry import MEMO_SIZE, MeridianProfile
+from meridian4 import geometry
+from meridian4.geometry import CIRCLE_CACHE_SIZE, MEMO_SIZE, MeridianProfile
 from meridian4.natural_pde import ISOTROPIC_GRAM, isotropic_frame
 
 FRAME_GRAM = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -674,6 +675,86 @@ def test_memo_shared_between_threads_gives_fresh_results():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not bad and len(profile._memo.entries) <= MEMO_SIZE
+
+
+_SHAPES = st.sampled_from([(6,), (6, 1), (1, 6), (2, 3), (3, 2), (3, 1, 2)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(tag=st.sampled_from(TAGS),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       shapes=st.lists(_SHAPES, min_size=1, max_size=6))
+def test_memo_hit_in_another_shape_is_a_fresh_evaluation(tag, xs, shapes):
+    # one evaluation per point set, whatever the shape: a query of the
+    # same values in another shape gets the stored arrays reshaped, bit
+    # for bit what an unmemoized evaluation in that shape gives
+    surface, spec, grid = standard_instances()[tag]
+    profile = build_profile(spec)
+    curve = dataclasses.replace(surface.directrix)
+    computed = []
+
+    def counted(compute):
+        return lambda x: computed.append(x.shape) or compute(x)
+
+    u = grid.u_min + np.array(xs) * (grid.u_max - grid.u_min)
+    v = grid.v_min + np.array(xs) * (grid.v_max - grid.v_min)
+    for shape in shapes:
+        jets = profile._memo(counted(profile._jets), u.reshape(shape))
+        data = curve._memo(counted(curve._data), v.reshape(shape))
+        _assert_same_bits(jets, profile._jets(u.reshape(shape)))
+        _assert_same_bits(data, curve._data(v.reshape(shape)))
+        _assert_read_only(jets)
+        _assert_read_only(data)
+        assert profile.jets(u.reshape(shape)) is jets
+        assert curve.data(v.reshape(shape)) is data
+    assert computed == [(6,), (6,)]
+    assert len(profile._memo.entries) == len(curve._memo.entries) == 1
+
+
+def test_scalar_query_keeps_its_own_memo_entry():
+    # a 0-d query gets floats back, a one-point array gets arrays
+    profile = build_profile(standard_instances()["CMC"][1])
+    results = [profile.jets(x) for x in (0.25, [0.25], [[0.25]], 0.25)]
+    assert np.ndim(results[0].f.f) == 0 and results[3] is results[0]
+    assert [np.shape(r.g.d1) for r in results[1:3]] == [(1,), (1, 1)]
+    assert len(profile._memo.entries) == 2
+    assert results[1].f.f.tobytes() == np.float64(results[0].f.f).tobytes()
+
+
+@settings(deadline=None, max_examples=20)
+@given(kappa=st.integers(-4, 4))
+def test_latitude_circles_are_shared(kappa):
+    circle = latitude_circle(kappa)
+    assert latitude_circle(float(kappa)) is circle
+    assert circle.name == f"latitude(kappa={float(kappa)})"
+    assert great_circle() is great_circle()
+    assert latitude_circle(kappa, name="c") is not circle
+    assert geometry._latitude_circle.cache_info().currsize <= CIRCLE_CACHE_SIZE
+
+
+def test_latitude_circle_cache_keeps_what_equality_merges_apart():
+    # -0.0 == 0.0, but the sign of kappa reaches h1 = kappa / (2 f)
+    assert latitude_circle(-0.0) is not latitude_circle(0.0)
+    assert latitude_circle(-0.0).name == "latitude(kappa=-0.0)"
+    assert latitude_circle(1.0, Interval(0, 9)) is not latitude_circle(
+        1.0, Interval(0.0, 9.0))
+
+
+def test_latitude_circle_cache_is_bounded():
+    first = latitude_circle(0.125)
+    for k in range(CIRCLE_CACHE_SIZE):
+        latitude_circle(10.0 + k)
+    assert geometry._latitude_circle.cache_info().currsize == CIRCLE_CACHE_SIZE
+    assert latitude_circle(0.125) is not first
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_latitude_circle_that_raises_is_not_kept():
+    before = geometry._latitude_circle.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(InconsistentGeometry):
+            latitude_circle(np.nan)
+    assert geometry._latitude_circle.cache_info().currsize == before
 
 
 def test_memo_is_not_part_of_the_records_value():
