@@ -46,25 +46,25 @@ lam, mu, nu = solution_family(a, b, kappa)
 print(f"\nsolution family a={a}, b={b}, kappa = 2 + sin v:")
 print(f"  mu(0, 0) = {mu.value(0.0, 0.0):+.6f}")
 
-chart_surface = MeridianSurface(profile=make_pnmc1(a, b),
-                                directrix=latitude_circle(2.0))
-chart = IsotropicChart.for_minimal_family(chart_surface, a, b)
+# the barred chain rule reads only the case-(i) profile f, f' (U' = 1/f)
+profile = make_pnmc1(a, b)
 grid = Grid2(-0.9, 2.9, 40, 0.0, TWO_PI, 40)
 
-report = residual_syst1(lam, mu, nu, chart, grid, tol=1e-8)
+report = residual_syst1(lam, mu, nu, profile, grid, tol=1e-8)
 print(f"\nbarred-system residuals (canonical scale "
       f"{report.details['scale']:.6f}):")
 for eq in report.equations:
     print(f"  {eq.name}: max |r| = {eq.max_abs:.3e}, rms = {eq.rms:.3e}")
 print("  verdict:", "pass" if report.passed else "FAIL")
 
-raw = residual_syst1(lam, mu, nu, chart, grid, tol=1e-8, normalize=False)
+raw = residual_syst1(lam, mu, nu, profile, grid, tol=1e-8, normalize=False)
 print(f"\nwithout the canonical rescaling eq3 fails by the constant "
       f"factor sqrt(a^2+b) - 1:")
 print(f"  eq3 max |r| = {raw.equations[2].max_abs:.3f}")
 
 # --- the fundamental system with the wrong causal sign --------------------
 tl, tm, tn, scale = transported_solution_family(a, b, kappa)
+chart = IsotropicChart.for_minimal_family(a, b)     # U = arcsin((u - a)/r)
 ub, vb = chart.to_barred(*grid.mesh(), scale=scale)
 good = residual_fund(tl, tm, tn, -1, (ub, vb), tol=1e-8)
 bad = residual_fund(tl, tm, tn, +1, (ub, vb), tol=1e-8)

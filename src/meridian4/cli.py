@@ -65,8 +65,7 @@ import numpy as np
 from . import acceptance
 from .diffkit import Jet3, SmoothFn1, constant_fn, jet_fn, poly_fn, sin_offset_fn
 from .errors import MeridianError
-from .families import (FamilySpec, build_profile, build_surface, make_minimal,
-                       verify_family)
+from .families import FamilySpec, build_profile, make_minimal, verify_family
 from .geometry import (_E4, MeridianSurface, curve_from_curvature, great_circle,
                        latitude_circle)
 from .grids import Grid2, json_number
@@ -342,30 +341,25 @@ def cmd_pde(cfg: dict, out_dir: Path | None, tol: float) -> int:
                 raise ConfigError(
                     f"family(a, b) needs finite a and b, not {sol!r}")
         lam, mu, nu = solution_family(a, b, kappa)
+        if system != "degenerate" and not grid.u_max > grid.u_min:
+            raise ConfigError("grid u_max must exceed u_min")
+        eps = cfg.get("epsilon", -1)
+        # JSON true == 1 in Python, but it is not a number
+        if system == "fund" and (isinstance(eps, bool) or eps not in (-1, 1)):
+            raise ConfigError(f"'epsilon' must be 1 or -1, not {eps!r}")
+        # the fields are real only on the family's profile interval, and
+        # the residuals read that profile, not a surface
+        profile = make_minimal(a, b)
+        profile.domain.require(grid.u_points(), "u", "profile domain")
         if system == "degenerate":
-            # the fields are real only on the family's profile interval,
-            # which the other systems' surface refuses to leave too
-            make_minimal(a, b).domain.require(grid.u_points(), "u",
-                                              "profile domain")
             report = residual_degenerate(lam, mu, nu, grid, tol=tol)
+        elif system == "syst1":
+            report = residual_syst1(lam, mu, nu, profile, grid, tol=tol)
         else:
-            if not grid.u_max > grid.u_min:
-                raise ConfigError("grid u_max must exceed u_min")
-            # the residuals read the profile and chart, not the directrix
-            surface = build_surface(FamilySpec(
-                "PNMC1", {"a": a, "b": b, "kappa": 2.0},
-                grid.u_min, grid.u_max))
-            chart = IsotropicChart.for_minimal_family(surface, a, b)
-            if system == "syst1":
-                report = residual_syst1(lam, mu, nu, chart, grid, tol=tol)
-            else:
-                eps = cfg.get("epsilon", -1)
-                # JSON true == 1 in Python, but it is not a number
-                if isinstance(eps, bool) or eps not in (-1, 1):
-                    raise ConfigError(f"'epsilon' must be 1 or -1, not {eps!r}")
-                tl, tm, tn, scale = transported_solution_family(a, b, kappa)
-                ub, vb = chart.to_barred(*grid.mesh(), scale=scale)
-                report = residual_fund(tl, tm, tn, int(eps), (ub, vb), tol=tol)
+            tl, tm, tn, scale = transported_solution_family(a, b, kappa)
+            ub, vb = IsotropicChart.for_minimal_family(a, b).to_barred(
+                *grid.mesh(), scale=scale)
+            report = residual_fund(tl, tm, tn, int(eps), (ub, vb), tol=tol)
 
     payload = {"config": cfg, "report": report.to_json()}
     text = _dumps(payload, indent=2)

@@ -295,9 +295,13 @@ def latitude_circle(kappa0: float, domain: Interval = Interval(),
     same instance, its data memo included, for the last
     :data:`CIRCLE_CACHE_SIZE` circles asked for (so 2 and 2.0 give one
     circle, named "latitude(kappa=2.0)").  A construction that raises is
-    not kept, so it raises again on the next call.
+    not kept, so it raises again on the next call.  A non-finite kappa0
+    raises :class:`InconsistentGeometry` before anything is computed.
     """
     kappa0 = float(kappa0)
+    if not math.isfinite(kappa0):
+        raise InconsistentGeometry(
+            f"latitude circle needs a finite kappa, not {kappa0}")
     name = name or f"latitude(kappa={kappa0})"
     # the reprs tell apart what == does not: -0.0 from 0.0 (whose signs
     # reach the invariants) and an int end of the domain from a float one

@@ -48,11 +48,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .diffkit import CumulativeQuadrature, Jet3, SmoothFn1, constant_fn
+from .diffkit import Jet3, SmoothFn1, constant_fn
 from .errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
                      MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict)
 from .families import _minimal_radius
-from .geometry import MeridianSurface, _inner, _scale
+from .geometry import MeridianProfile, MeridianSurface, _inner, _scale
 from .grids import Grid2, json_safe, max_abs
 from .minkowski import Vec4M
 
@@ -304,78 +304,26 @@ class IsotropicChart(NamedTuple):
 
     U is an antiderivative of 1/f, so the barred coordinate tangents
     z_ubar, z_vbar are lightlike with <z_ubar, z_vbar> = -f^2.  The
-    optional closed-form inverse maps U-values back to u for the
-    built-in profile families.
+    chart is built in closed form for the minimal profiles
+    f = sqrt(-u^2 + 2 a u + b) (:meth:`for_minimal_family`), which the
+    case-(i) parallel-H0 surfaces share.
     """
 
-    surface: MeridianSurface
     U: Callable[[np.ndarray], np.ndarray]
-    u_from_U: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
     @classmethod
-    def for_surface(cls, surface: MeridianSurface) -> "IsotropicChart":
-        """Generic chart with U computed by quadrature of 1/f, anchored
-        at the midpoint of the domain's sample window (see
-        :meth:`Interval.sample`), which lies inside the domain."""
-        dom = surface.profile.domain
-        lo, hi = dom.sample(2)
-        anchor = 0.5 * (lo + hi)
-        inv_f = SmoothFn1(
-            lambda u: surface.profile.f_eval(np.asarray(u, dtype=float)).reciprocal(),
-            dom, name="1/f")
-        return cls(surface=surface, name="quadrature",
-                   U=CumulativeQuadrature(inv_f, anchor, tol=1e-13))
-
-    @classmethod
-    def for_minimal_family(cls, surface: MeridianSurface, a: float,
-                           b: float) -> "IsotropicChart":
+    def for_minimal_family(cls, a: float, b: float) -> "IsotropicChart":
         """Closed-form chart for profiles f = sqrt(-u^2 + 2 a u + b), with
         U(u) = arcsin((u - a) / r).  U raises :class:`ChartDomain` outside
-        the profile interval |u - a| < r, and the inverse for |U| >= pi/2,
-        outside U's image."""
-        U, u_from_U = _arcsin_chart(a, b)
-        return cls(surface=surface, U=U, u_from_U=u_from_U,
-                   name=f"arcsin(a={a},b={b})")
+        the profile interval |u - a| < r."""
+        U, _ = _arcsin_chart(a, b)
+        return cls(U=U, name=f"arcsin(a={a},b={b})")
 
-    # -- maps ---------------------------------------------------------------
     def to_barred(self, u, v, scale: float = 1.0):
         Uv = self.U(u)
         v = np.asarray(v, dtype=float)
         return scale * (Uv + v) / _SQRT2, scale * (Uv - v) / _SQRT2
-
-    def from_barred(self, ubar, vbar, scale: float = 1.0):
-        """(u, v) of barred points; raises :class:`ChartDomain` if the chart
-        has no closed-form inverse, or if U = (ubar + vbar) / (sqrt(2) scale)
-        leaves U's image (|U| >= pi/2 for :meth:`for_minimal_family`)."""
-        if self.u_from_U is None:
-            raise ChartDomain("chart has no closed-form inverse")
-        ubar = np.asarray(ubar, dtype=float)
-        vbar = np.asarray(vbar, dtype=float)
-        w = (ubar + vbar) / (_SQRT2 * scale)
-        v = (ubar - vbar) / (_SQRT2 * scale)
-        return self.u_from_U(w), v
-
-    def isotropic_tangents(self, u, v):
-        """(z_ubar, z_vbar) as ambient arrays, for the chart invariants."""
-        s = self.surface._raw(u, v)
-        fz_u = _scale(s.f.f, s.z_u)
-        return (fz_u + s.z_v) / _SQRT2, (fz_u - s.z_v) / _SQRT2
-
-    def operator_self_test(self, u, v):
-        """Apply the barred derivative operators to the chart's own
-        coordinate functions; exact chain rule gives the identity matrix."""
-        fj = self.surface.profile.jets(u).f
-        # (u, v)-partials of ubar, vbar = (U(u) +- v) / sqrt(2), U' = 1/f
-        U_u = 1.0 / (fj.f * _SQRT2)
-        U_uu = -fj.d1 / (fj.f ** 2 * _SQRT2)
-        ub, vb = (_to_barred(Partials2(w, U_u, sgn / _SQRT2, U_uu, 0.0, 0.0),
-                             fj.f, fj.d1, 1.0)
-                  for w, sgn in zip(self.to_barred(u, v), (1.0, -1.0)))
-        return np.array([
-            [np.max(np.abs(ub.du - 1.0)), np.max(np.abs(vb.du))],
-            [np.max(np.abs(ub.dv)), np.max(np.abs(vb.dv - 1.0))],
-        ])
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +642,7 @@ def _median(x) -> float:
 
 
 def residual_syst1(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
-                   chart: IsotropicChart, grid, tol: float = 1e-8,
+                   profile: MeridianProfile, grid, tol: float = 1e-8,
                    normalize: bool = True) -> ResidualReport:
     """Residuals of the barred system for fields given in surface
     parameters (u, v):
@@ -704,14 +652,17 @@ def residual_syst1(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
         |mu| (ln|mu|)_ub_vb   = lam^2 + mu^2 - nu^2
 
     This is the fundamental system with eps = -1, evaluated on barred
-    partials that come from the chain rule through the chart; nothing
-    is inverted numerically.  With ``normalize`` the chart is rescaled
-    to canonical isotropic coordinates, scale = sqrt(f^2 |mu|); the
-    third equation holds only in that scaling (the first two do not see
-    the scale).
+    partials that come from the chain rule through the isotropic chart
+    of ``profile``; nothing is inverted numerically.  The chain rule
+    needs only f and f' at the grid's u (U' = 1/f), so the profile is
+    all it reads, and the profile's domain refuses a u outside it
+    (:class:`OutOfDomain`, naming that u).  With ``normalize`` the chart
+    is rescaled to canonical isotropic coordinates, scale =
+    sqrt(f^2 |mu|); the third equation holds only in that scaling (the
+    first two do not see the scale).
     """
     U, V, echo = _grid_points(grid)
-    fj = chart.surface.profile.jets(U).f
+    fj = profile.jets(U).f
     mp, lp, nup = _per_callable((mu, lam, nu), lambda p: p(U, V))
     mval = _nonvanishing(mp)
 

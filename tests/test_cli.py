@@ -222,7 +222,8 @@ def test_pde_family_selector(tmp_path, capsys):
 
 
 def test_pde_integrates_no_directrix(monkeypatch, tmp_path):
-    # the residuals read the PNMC1 profile and the closed-form chart only
+    # the residuals read the minimal profile (syst1) and the closed-form
+    # chart (fund) only, never a surface or its directrix
     def refuse(*args, **kwargs):
         raise AssertionError("pde integrated a directrix")
 
@@ -282,11 +283,12 @@ def test_out_of_domain_error_names_one_value(tmp_path, capsys):
 @pytest.mark.parametrize("system, message", [
     ("degenerate", "u=-0.9 outside profile domain (0.0, 10.0)"),
     ("syst1", "u=-0.9 outside profile domain (0.0, 10.0)"),
-    ("fund", "point outside the profile interval")])
+    ("fund", "u=-0.9 outside profile domain (0.0, 10.0)")])
 def test_pde_refuses_grid_outside_the_solution_interval(system, message,
                                                         tmp_path, capsys):
-    # example2's fields are real only on (0, 10); degenerate used to run
-    # them at u = -0.9, warn, and fail as a residual (exit 1)
+    # example2's fields are real only on (0, 10); every system checks the
+    # grid against that interval first (degenerate used to run the fields
+    # at u = -0.9, warn, and fail as a residual, exit 1)
     cfg = write_cfg(tmp_path / "out.json", {
         "system": system, "solution": "example2", "kappa": "sin-offset:2",
         "grid": {"u_min": -0.9, "u_max": 2.9, "nu": 40,
@@ -340,6 +342,24 @@ def test_pde_unknown_solution(tmp_path):
                  "v_min": 0.0, "v_max": 1.0, "nv": 4},
     })
     assert main(["pde", "--config", cfg]) == 2
+
+
+PDE_GOLDEN = Path(__file__).parent / "golden" / "pde"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        PDE_GOLDEN.glob("*.json")))
+def test_pde_report_matches_golden_bytes(name, tmp_path, capsys):
+    # each <name>.out is the stdout of `pde --config <name>.json`, and
+    # pde_report.json is that text without print's newline.  The reports
+    # carry residuals of order 1e-15, so a platform whose sin, arcsin or
+    # exp round differently changes their last digits
+    want = (PDE_GOLDEN / f"{name}.out").read_text()
+    code = main(["pde", "--config", str(PDE_GOLDEN / f"{name}.json"),
+                 "--out", str(tmp_path)])
+    assert capsys.readouterr().out == want
+    assert (tmp_path / "pde_report.json").read_text() + "\n" == want
+    assert code == (0 if json.loads(want)["report"]["passed"] else 1)
 
 
 def test_export_formats(flat_cfg, tmp_path, capsys):
@@ -704,6 +724,24 @@ def test_nonfinite_geometry_is_numeric_failure(command, update, cmc_cfg,
     err = capsys.readouterr().err
     assert "numeric/domain failure:" in err and "Traceback" not in err
     assert not (tmp_path / "o" / "surface.csv").exists()
+
+
+@pytest.mark.parametrize("kappa", [math.inf, 1e400, math.nan],
+                         ids=["inf", "1e400", "nan"])
+def test_nonfinite_latitude_kappa_is_refused_before_any_work(kappa, cmc_cfg,
+                                                             tmp_path, capsys):
+    # json writes these as Infinity and NaN, and reads 1e400 as inf; the
+    # circle used to be built first, with numpy RuntimeWarnings on stderr
+    cfg = json.loads(open(cmc_cfg).read())
+    cfg["directrix"]["kappa"] = kappa
+    bad = write_cfg(tmp_path / "latitude.json", cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--config", bad])
+    out, err = capsys.readouterr()
+    assert code == 3 and not caught and out == ""
+    assert err == ("numeric/domain failure: latitude circle needs a finite "
+                   f"kappa, not {float(kappa)}\n")
 
 
 def test_extreme_ode_parameters_are_a_numeric_failure(cmc_cfg, tmp_path,

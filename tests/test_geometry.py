@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -755,6 +756,19 @@ def test_latitude_circle_that_raises_is_not_kept():
         with pytest.raises(InconsistentGeometry):
             latitude_circle(np.nan)
     assert geometry._latitude_circle.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("kappa", [np.inf, -np.inf, float("1e400"), np.nan])
+def test_nonfinite_latitude_kappa_raises_before_computing(kappa):
+    # no circle is built: no numpy RuntimeWarning, nothing cached
+    before = geometry._latitude_circle.cache_info()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentGeometry,
+                           match=f"finite kappa, not {float(kappa)}$"):
+            latitude_circle(kappa)
+    after = geometry._latitude_circle.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_memo_is_not_part_of_the_records_value():

@@ -14,7 +14,6 @@ from meridian4 import (
     jet_fn,
     great_circle,
     latitude_circle,
-    make_flat,
     make_minimal,
     make_parallel_H1,
     make_parallel_H2,
@@ -28,6 +27,7 @@ from meridian4.errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
                               MinimalPoint, MuVanishes)
 from meridian4.families import TAGS
 from meridian4 import natural_pde
+from meridian4.diffkit import SmoothFn1, quadrature
 from meridian4.minkowski import minkowski_inner
 from meridian4.natural_pde import (
     ISOTROPIC_GRAM,
@@ -341,39 +341,68 @@ def test_geometric_functions_pair_each_factor_pair_once(monkeypatch, tag,
 
 
 # ---------------------------------------------------------------- chart
+_SQRT2 = np.sqrt(2.0)
+
+
+def _barred_tangents(surface, u, v):
+    """(z_ubar, z_vbar) = (f z_u +- z_v) / sqrt(2) as ambient arrays: the
+    coordinate tangents of a chart with U' = 1/f, from the public
+    evaluation."""
+    jet = surface.evaluate(u, v)
+    f = surface.profile.jets(u).f.f[..., None]
+    fz_u, z_v = f * jet.z_u.as_array(), jet.z_v.as_array()
+    return (fz_u + z_v) / _SQRT2, (fz_u - z_v) / _SQRT2
+
+
+def _operator_matrix(chart, profile, u, v):
+    """The barred derivative operators applied to the chart's own
+    coordinate functions ubar, vbar = (U(u) +- v) / sqrt(2), whose
+    (u, v)-partials follow from U' = 1/f: the exact chain rule gives the
+    identity matrix, so this returns its deviation from it."""
+    fj = profile.jets(u).f
+    U_u = 1.0 / (fj.f * _SQRT2)
+    U_uu = -fj.d1 / (fj.f ** 2 * _SQRT2)
+    ub, vb = (_to_barred(Partials2(w, U_u, sgn / _SQRT2, U_uu, 0.0, 0.0),
+                         fj.f, fj.d1, 1.0)
+              for w, sgn in zip(chart.to_barred(u, v), (1.0, -1.0)))
+    return np.array([
+        [np.max(np.abs(ub.du - 1.0)), np.max(np.abs(vb.du))],
+        [np.max(np.abs(ub.dv)), np.max(np.abs(vb.dv - 1.0))],
+    ])
+
+
 def test_chart_tangents_are_isotropic(pnmc1_surface):
-    chart = IsotropicChart.for_minimal_family(pnmc1_surface, 0.0, 1.0)
     U = np.linspace(-0.8, 0.8, 9)[:, None]
     V = np.linspace(0.0, TWO_PI, 9)[None, :]
-    zub, zvb = chart.isotropic_tangents(U, V)
-    from meridian4.minkowski import minkowski_inner
+    zub, zvb = _barred_tangents(pnmc1_surface, U, V)
     f2 = pnmc1_surface.profile.jets(U).f.f ** 2
     assert np.max(np.abs(minkowski_inner(zub, zub))) < 1e-8
     assert np.max(np.abs(minkowski_inner(zvb, zvb))) < 1e-8
     assert np.max(np.abs(minkowski_inner(zub, zvb) + f2)) < 1e-8
 
 
-def test_chart_operator_self_test_closed_and_quadrature(pnmc1_surface):
-    closed = IsotropicChart.for_minimal_family(pnmc1_surface, 0.0, 1.0)
-    quad = IsotropicChart.for_surface(pnmc1_surface)
-    for chart in (closed, quad):
-        mat = chart.operator_self_test(0.4, 1.0)
-        assert np.max(mat) < 1e-10
+def test_chart_operator_self_test_gives_identity():
+    chart = IsotropicChart.for_minimal_family(0.0, 1.0)
+    profile = make_pnmc1(0.0, 1.0)
+    assert np.max(_operator_matrix(chart, profile, 0.4, 1.0)) < 1e-10
+    U, V = Grid2(-0.9, 0.9, 7, 0.0, TWO_PI, 5).mesh()
+    assert np.max(_operator_matrix(chart, profile, U, V)) < 1e-10
 
 
-def test_chart_round_trip(pnmc1_surface):
-    chart = IsotropicChart.for_minimal_family(pnmc1_surface, 0.0, 1.0)
+def test_chart_round_trip():
+    # the closed-form inverse u = a + r sin(w) that the transported
+    # solution family reads
+    chart = IsotropicChart.for_minimal_family(0.0, 1.0)
+    _, u_from_U = natural_pde._arcsin_chart(0.0, 1.0)
     ub, vb = chart.to_barred(0.3, 1.2)
-    u, v = chart.from_barred(ub, vb)
+    u, v = u_from_U((ub + vb) / _SQRT2), (ub - vb) / _SQRT2
     assert (u, v) == pytest.approx((0.3, 1.2), abs=1e-14)
-    with pytest.raises(ChartDomain):
-        IsotropicChart.for_surface(pnmc1_surface).from_barred(0.1, 0.1)
 
 
 def test_chart_raises_outside_the_profile_interval():
     # U = arcsin(u) is defined on the profile interval (-1, 1) only; past
     # it, arcsin gave NaN coordinates with a RuntimeWarning
-    chart = IsotropicChart.for_minimal_family(None, 0.0, 1.0)
+    chart = IsotropicChart.for_minimal_family(0.0, 1.0)
     assert np.all(np.isfinite(chart.to_barred(np.array([-0.99, 0.3, 0.99]),
                                               0.5)))
     for u in (1.5, 1.0, -1.0, -3.0, np.nan, np.array([0.1, 2.0])):
@@ -381,23 +410,24 @@ def test_chart_raises_outside_the_profile_interval():
             chart.to_barred(u, 0.5)
 
 
-def test_chart_inverse_raises_outside_its_image(pnmc1_surface):
+def test_chart_inverse_raises_outside_its_image():
     # U = arcsin(u) maps (-1, 1) onto (-pi/2, pi/2); sin would fold U = 2
-    # back to u = sin 2, whose own U is pi - 2
-    chart = IsotropicChart.for_minimal_family(pnmc1_surface, 0.0, 1.0)
+    # back to u = sin 2, whose own U is pi - 2.  The transported fields
+    # read u through that inverse at U = (ubar + vbar) / (sqrt(2) scale)
+    tl, tm, _, _ = transported_solution_family(0.0, 1.0, constant_fn(2.0),
+                                               scale=1.0)
     for w in (1.6, 2.0, -2.0, np.nan, np.array([0.1, 2.0])):
-        half = np.sqrt(2.0) * np.asarray(w) / 2.0   # (ub + vb)/sqrt(2) = w
-        with pytest.raises(ChartDomain):
-            chart.from_barred(half, half)
+        half = _SQRT2 * np.asarray(w) / 2.0   # (ub + vb)/sqrt(2) = w
+        for field in (tl, tm):
+            with pytest.raises(ChartDomain):
+                field.partials(half, half)
 
 
 def test_transported_partials_invert_the_chart_in_closed_form():
     # reference: the inverse u = a + r sin(w) written out, then the chain rule
     a, b, kap = 1.0, 3.0, sin_offset_fn(2.0)
     tl, tm, tn, scale = transported_solution_family(a, b, kap)
-    chart = IsotropicChart.for_minimal_family(
-        MeridianSurface(profile=make_pnmc1(a, b), directrix=great_circle()),
-        a, b)
+    chart = IsotropicChart.for_minimal_family(a, b)
     ub, vb = chart.to_barred(*Grid2(-0.9, 2.9, 40, 0.0, 6.2832, 40).mesh(),
                              scale=scale)
     s2 = np.sqrt(2.0) * scale
@@ -410,26 +440,17 @@ def test_transported_partials_invert_the_chart_in_closed_form():
             assert np.array_equal(g, w)
 
 
-def test_chart_agrees_between_closed_and_quadrature(pnmc1_surface):
-    closed = IsotropicChart.for_minimal_family(pnmc1_surface, 0.0, 1.0)
-    quad = IsotropicChart.for_surface(pnmc1_surface)
-    # same anchor (u = a): antiderivatives agree, not just derivatives
+def test_chart_agrees_between_closed_and_quadrature():
+    # U(u) - U(a) is the integral of 1/f over [a, u]: antiderivatives
+    # agree, not just derivatives
+    a, b = 0.0, 1.0
+    chart = IsotropicChart.for_minimal_family(a, b)
+    profile = make_pnmc1(a, b)
+    inv_f = SmoothFn1(lambda u: profile.f_eval(np.asarray(u, dtype=float))
+                      .reciprocal(), profile.domain, name="1/f")
     for u in (-0.7, -0.2, 0.5, 0.8):
-        assert quad.U(u) == pytest.approx(float(closed.U(u)), abs=1e-11)
-
-
-@pytest.mark.parametrize("a", [1.0, -1.0])
-def test_quadrature_chart_is_anchored_inside_a_half_line(a):
-    # f = a u - 12 on (12, inf) or (-inf, -12), a half-line that starts
-    # more than 10 from the origin: the anchor must still lie inside it
-    surface = MeridianSurface(profile=make_flat(a, -12.0),
-                              directrix=great_circle())
-    chart = IsotropicChart.for_surface(surface)
-    u = a * (12.0 + np.array([0.5, 3.0, 15.0, 40.0]))
-    # U' = 1/f, so U differences are a log|u - 12 a| differences
-    exact = a * np.log(np.abs(u - 12.0 * a))
-    got = chart.U(u)
-    assert np.all(np.abs((got - got[0]) - (exact - exact[0])) <= 1e-10)
+        want = quadrature(inv_f, a, u, tol=1e-13)
+        assert float(chart.U(u) - chart.U(a)) == pytest.approx(want, abs=1e-11)
 
 
 # ---------------------------------------------------------------- fields
@@ -529,12 +550,9 @@ def test_residual_syst1_examples_pass():
     kap = sin_offset_fn(2.0)
     for a, b, umin, umax in ((1.0, 3.0, -0.9, 2.9), (5.0, 0.0, 0.5, 9.5)):
         lam, mu, nu = solution_family(a, b, kap)
-        surface = MeridianSurface(
-            profile=build_profile(FamilySpec(
-                "PNMC1", {"a": a, "b": b, "kappa": 2.0}, umin, umax)),
-            directrix=latitude_circle(2.0))
-        chart = IsotropicChart.for_minimal_family(surface, a, b)
-        rep = residual_syst1(lam, mu, nu, chart,
+        profile = build_profile(FamilySpec(
+            "PNMC1", {"a": a, "b": b, "kappa": 2.0}, umin, umax))
+        rep = residual_syst1(lam, mu, nu, profile,
                              Grid2(umin, umax, 30, 0.0, TWO_PI, 30), tol=1e-8)
         assert rep.passed, rep.to_json()
         assert rep.details["scale"] == pytest.approx(canonical_scale(a, b))
@@ -543,10 +561,7 @@ def test_residual_syst1_examples_pass():
 def test_residual_syst1_without_normalization_fails_eq3():
     kap = sin_offset_fn(2.0)
     lam, mu, nu = solution_family(1.0, 3.0, kap)
-    surface = MeridianSurface(profile=make_pnmc1(1.0, 3.0),
-                              directrix=latitude_circle(2.0))
-    chart = IsotropicChart.for_minimal_family(surface, 1.0, 3.0)
-    rep = residual_syst1(lam, mu, nu, chart,
+    rep = residual_syst1(lam, mu, nu, make_pnmc1(1.0, 3.0),
                          Grid2(-0.9, 2.9, 20, 0.0, TWO_PI, 20),
                          tol=1e-8, normalize=False)
     eq = {e.name: e for e in rep.equations}
@@ -560,12 +575,10 @@ def test_residual_syst1_perturbed_mu_fails():
     bad_mu = ScalarField2(
         lambda u, v: Partials2(*(1.1 * x for x in mu.partials(u, v))),
         name="1.1mu")
-    surface = MeridianSurface(profile=make_pnmc1(1.0, 3.0),
-                              directrix=latitude_circle(2.0))
-    chart = IsotropicChart.for_minimal_family(surface, 1.0, 3.0)
+    profile = make_pnmc1(1.0, 3.0)
     grid = Grid2(-0.9, 2.9, 15, 0.0, TWO_PI, 15)
-    assert residual_syst1(lam, mu, nu, chart, grid).passed
-    rep = residual_syst1(lam, bad_mu, nu, chart, grid)
+    assert residual_syst1(lam, mu, nu, profile, grid).passed
+    rep = residual_syst1(lam, bad_mu, nu, profile, grid)
     assert not rep.passed
     assert {e.name: e for e in rep.equations}["eq3"].max_abs > 0.01
 
@@ -579,11 +592,8 @@ def test_residual_syst1_random_family_draws(a, b, kappa_sel):
     kap = _parse_kappa(kappa_sel)
     lam, mu, nu = solution_family(a, b, kap, audit=False)
     r = np.sqrt(a * a + b)
-    surface = MeridianSurface(profile=make_pnmc1(a, b),
-                              directrix=latitude_circle(2.0))
-    chart = IsotropicChart.for_minimal_family(surface, a, b)
     grid = Grid2(a - 0.85 * r, a + 0.85 * r, 12, 0.0, 1.0, 12)
-    rep = residual_syst1(lam, mu, nu, chart, grid, tol=1e-8)
+    rep = residual_syst1(lam, mu, nu, make_pnmc1(a, b), grid, tol=1e-8)
     assert rep.passed, rep.to_json()
 
 
@@ -603,9 +613,7 @@ def test_residual_fund_constant_mu_example():
 def test_residual_fund_transported_fields_both_epsilons():
     kap = sin_offset_fn(2.0)
     tl, tm, tn, scale = transported_solution_family(1.0, 3.0, kap)
-    surface = MeridianSurface(profile=make_pnmc1(1.0, 3.0),
-                              directrix=latitude_circle(2.0))
-    chart = IsotropicChart.for_minimal_family(surface, 1.0, 3.0)
+    chart = IsotropicChart.for_minimal_family(1.0, 3.0)
     U, V = Grid2(-0.9, 2.9, 20, 0.0, TWO_PI, 20).mesh()
     ub, vb = chart.to_barred(U, V, scale=scale)
     assert residual_fund(tl, tm, tn, -1, (ub, vb), tol=1e-8).passed

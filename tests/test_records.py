@@ -38,8 +38,7 @@ RECORDS = {
     GeometricFunctions: ("gamma1 gamma2 nu lambda1 mu1 lambda2 mu2 beta1 "
                          "beta2", {}),
     IsotropicFrame: ("x y n1 n2", {}),
-    IsotropicChart: ("surface U u_from_U name",
-                     {"u_from_U": None, "name": ""}),
+    IsotropicChart: ("U name", {"name": ""}),
     EquationResidual: ("name max_abs rms gating", {"gating": True}),
     ResidualReport: ("system equations tol passed epsilon grid details",
                      {"epsilon": None, "grid": {}, "details": {}}),
