@@ -16,21 +16,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffkit import Interval, expr_fn, integrate_profile, sin_offset_fn, sqrt
-from .families import FamilySpec, build_surface, make_minimal, verify_family
+from .families import FamilySpec, build_surface, verify_family
 from .geometry import great_circle, latitude_circle
 from .grids import Grid2, max_abs
 from .minkowski import verify_frame
 from .natural_pde import (
     ISOTROPIC_GRAM,
-    IsotropicChart,
     closed_geometric_functions_pnmc1,
     closed_geometric_functions_pnmc2,
     geometric_functions,
     isotropic_frame,
-    residual_fund,
-    residual_syst1,
-    solution_family,
-    transported_solution_family,
+    residual_family,
 )
 
 __all__ = ["Check", "CriterionResult", "run_all", "format_table"]
@@ -248,15 +244,11 @@ def criterion_8() -> CriterionResult:
         "example1": (1.0, 3.0, -0.9, 2.9),
         "example2": (5.0, 0.0, 0.5, 9.5),
     }.items():
-        lam, mu, nu = solution_family(a, b, kap)
         grid = Grid2(umin, umax, 40, 0.0, 2.0 * math.pi, 40)
-        rep = residual_syst1(lam, mu, nu, make_minimal(a, b), grid, tol=1e-8)
+        rep = residual_family("syst1", a, b, kap, grid)
         checks.append(Check(f"{name} max residual", rep.max_residual(), 1e-8))
         if name == "example1":
-            tl, tm, tn, scale = transported_solution_family(a, b, kap)
-            ub, vb = IsotropicChart.for_minimal_family(a, b).to_barred(
-                *grid.mesh(), scale=scale)
-            neg = residual_fund(tl, tm, tn, +1, (ub, vb), tol=1e-8)
+            neg = residual_family("fund", a, b, kap, grid, eps=+1)
             checks.append(Check("example1 eps=+1 control", neg.max_residual(),
                                 0.1, kind=">="))
     return CriterionResult(8, "natural-PDE example solutions", tuple(checks))

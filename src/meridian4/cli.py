@@ -29,13 +29,13 @@ and a PDE config like::
       "tol": 1e-8
     }
 
-``directrix.kind`` is one of great | latitude | curvature; the kappa
-selectors are "const:k", "sin-offset:c", "poly:c0,c1,...".  Solution
-selectors: example1, example2, family(a,b), separable.  The output
-formats are those of :mod:`meridian4.writers`.  The MERIDIAN_THREADS
-environment variable caps worker parallelism; the sweeps here are
-vectorized single-process, so any cap is respected and echoed into
-reports.
+``directrix`` (by default the family's own) has ``kind`` great | latitude |
+curvature; the kappa selectors are "const:k", "sin-offset:c",
+"poly:c0,c1,...".  Solution selectors: example1, example2, family(a,b),
+separable.  The output formats are those of :mod:`meridian4.writers`.  The
+MERIDIAN_THREADS environment variable caps worker parallelism; the sweeps
+here are vectorized single-process, so any cap is respected and echoed
+into reports.
 
 :func:`main` registers :func:`gc.freeze` with :mod:`atexit`, once per
 process however often it is called.  Shutdown then leaves the cyclic
@@ -65,20 +65,12 @@ import numpy as np
 from . import acceptance
 from .diffkit import Jet3, SmoothFn1, constant_fn, jet_fn, poly_fn, sin_offset_fn
 from .errors import MeridianError
-from .families import FamilySpec, build_profile, make_minimal, verify_family
+from .families import FamilySpec, build_surface, verify_family
 from .geometry import (_E4, MeridianSurface, curve_from_curvature, great_circle,
                        latitude_circle)
 from .grids import Grid2, json_number
-from .natural_pde import (
-    IsotropicChart,
-    ScalarField2,
-    geometric_functions,
-    residual_degenerate,
-    residual_fund,
-    residual_syst1,
-    solution_family,
-    transported_solution_family,
-)
+from .natural_pde import (ScalarField2, geometric_functions, residual_degenerate,
+                          residual_family)
 from .writers import (CSV_COLUMNS, _dumps, _grid_columns, _write_csv,
                       _write_csv_table, _write_grid_json, _write_obj)
 
@@ -177,12 +169,12 @@ def _build_surface(cfg: dict) -> tuple:
             f"grid u-range [{grid.u_min}, {grid.u_max}] outside family "
             f"interval [{spec.u_min}, {spec.u_max}]")
     try:
-        directrix = _build_directrix(cfg.get("directrix", {}), grid)
-        profile = build_profile(spec)
+        directrix = (_build_directrix(cfg["directrix"], grid)
+                     if "directrix" in cfg else None)
+        surface = build_surface(spec, directrix)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad directrix or family parameters: {exc}")
-    return (MeridianSurface(profile=profile, directrix=directrix,
-                            name=spec.tag), spec, grid)
+    return surface, spec, grid
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +332,12 @@ def cmd_pde(cfg: dict, out_dir: Path | None, tol: float) -> int:
             if not (np.isfinite(a) and np.isfinite(b)):
                 raise ConfigError(
                     f"family(a, b) needs finite a and b, not {sol!r}")
-        lam, mu, nu = solution_family(a, b, kappa)
-        if system != "degenerate" and not grid.u_max > grid.u_min:
-            raise ConfigError("grid u_max must exceed u_min")
-        eps = cfg.get("epsilon", -1)
+        eps = cfg.get("epsilon", -1) if system == "fund" else -1
         # JSON true == 1 in Python, but it is not a number
-        if system == "fund" and (isinstance(eps, bool) or eps not in (-1, 1)):
+        if isinstance(eps, bool) or eps not in (-1, 1):
             raise ConfigError(f"'epsilon' must be 1 or -1, not {eps!r}")
-        # the fields are real only on the family's profile interval, and
-        # the residuals read that profile, not a surface
-        profile = make_minimal(a, b)
-        profile.domain.require(grid.u_points(), "u", "profile domain")
-        if system == "degenerate":
-            report = residual_degenerate(lam, mu, nu, grid, tol=tol)
-        elif system == "syst1":
-            report = residual_syst1(lam, mu, nu, profile, grid, tol=tol)
-        else:
-            tl, tm, tn, scale = transported_solution_family(a, b, kappa)
-            ub, vb = IsotropicChart.for_minimal_family(a, b).to_barred(
-                *grid.mesh(), scale=scale)
-            report = residual_fund(tl, tm, tn, int(eps), (ub, vb), tol=tol)
+        report = residual_family(system, a, b, kappa, grid, tol=tol,
+                                 eps=int(eps))
 
     payload = {"config": cfg, "report": report.to_json()}
     text = _dumps(payload, indent=2)

@@ -748,11 +748,18 @@ class SurfaceSample:
         """
         return self._normal_derivative(self.h_jets)
 
-    def normal_derivative_H0(self, tol: float = MINIMAL_H_TOL) -> tuple:
-        """(D_X H0, D_Y H0) for the unit field H0 = H / ||H||."""
+    def _require_nonminimal(self) -> None:
+        """Raise :class:`MinimalPoint` if <H,H> <= MINIMAL_H_TOL anywhere in
+        the sample: H0 = H / ||H||, and the lightlike frame along it, are
+        undefined there."""
         h1, h2 = self.h_closed()
-        if np.any(h1 ** 2 + h2 ** 2 <= tol):
-            raise MinimalPoint("H vanishes (to tolerance); H0 undefined")
+        if np.any(h1 ** 2 + h2 ** 2 <= MINIMAL_H_TOL):
+            raise MinimalPoint(f"H vanishes (<H,H> <= {MINIMAL_H_TOL:g}); "
+                               "H0 undefined")
+
+    def normal_derivative_H0(self) -> tuple:
+        """(D_X H0, D_Y H0) for the unit field H0 = H / ||H||."""
+        self._require_nonminimal()
         return self._normal_derivative(self.h0_jets)
 
     def normal_field_derivatives(self, combo: tuple = (1.0, 0.0)) -> tuple:
@@ -824,8 +831,8 @@ class MeridianSurface:
     def normal_derivative_H(self, u, v) -> tuple:
         return self._raw(u, v).normal_derivative_H()
 
-    def normal_derivative_H0(self, u, v, tol: float = MINIMAL_H_TOL) -> tuple:
-        return self._raw(u, v).normal_derivative_H0(tol)
+    def normal_derivative_H0(self, u, v) -> tuple:
+        return self._raw(u, v).normal_derivative_H0()
 
     def normal_field_derivatives(self, u, v, combo: tuple = (1.0, 0.0)):
         return self._raw(u, v).normal_field_derivatives(combo)

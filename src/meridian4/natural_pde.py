@@ -49,9 +49,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .diffkit import Jet3, SmoothFn1, constant_fn
-from .errors import (ChartDomain, EmptyInterval, InconsistentGeometry,
-                     MinimalPoint, MuVanishes, OutOfDomain, ParameterConflict)
-from .families import _minimal_radius
+from .errors import (ChartDomain, InconsistentGeometry, MuVanishes,
+                     OutOfDomain, ParameterConflict)
+from .families import _minimal_radius, make_minimal
 from .geometry import MeridianProfile, MeridianSurface, _inner, _scale
 from .grids import Grid2, json_safe, max_abs
 from .minkowski import Vec4M
@@ -73,12 +73,10 @@ __all__ = [
     "residual_fund",
     "residual_degenerate",
     "residual_syst1",
+    "residual_family",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-#: <H,H> at or below this counts as a minimal point for frame purposes.
-MINIMAL_TOL = 1e-12
 
 #: Target Gram matrix of the frame (x, y, n1, n2).
 ISOTROPIC_GRAM = np.array([
@@ -124,18 +122,16 @@ class IsotropicFrame(NamedTuple):
 # the frame as combinations of the factored fields
 # ---------------------------------------------------------------------------
 
-def _frame_fields(surface: MeridianSurface, u, v, tol: float):
+def _frame_fields(surface: MeridianSurface, u, v):
     """The sample at the points, and the frame x, y, n1, n2 with its
     (u, v)-partials, each a tuple of terms (c, name) meaning sum c F_name
     over the sample's factored fields (``geometry._FACTORS``).
 
     Returns (sample, {name: (value, d_u, d_v)}).  Raises
-    :class:`MinimalPoint` when <H,H> <= tol anywhere in the batch.
+    :class:`MinimalPoint` where H vanishes, by the sample's one rule.
     """
     s = surface._raw(u, v)
-    h1, h2 = s.h_closed()
-    if np.any(h1 ** 2 + h2 ** 2 <= tol):
-        raise MinimalPoint("frame undefined where H vanishes")
+    s._require_nonminimal()
     r = 1.0 / _SQRT2
 
     def tangent(sign):
@@ -156,11 +152,10 @@ def _frame_fields(surface: MeridianSurface, u, v, tol: float):
                "n1": normal(au, bu, av, bv), "n2": normal(-bu, au, -bv, av)}
 
 
-def isotropic_frame(surface: MeridianSurface, u, v,
-                    tol: float = MINIMAL_TOL) -> IsotropicFrame:
+def isotropic_frame(surface: MeridianSurface, u, v) -> IsotropicFrame:
     """The frame {x, y, n1, n2} at (u, v); n1 is parallel to H.  The one
     reader that builds the lightlike frame as (..., 4) arrays."""
-    s, fields = _frame_fields(surface, u, v, tol)
+    s, fields = _frame_fields(surface, u, v)
 
     def ambient(terms):
         return Vec4M.from_array(sum(_scale(c, s._factors[k].ambient())
@@ -170,8 +165,7 @@ def isotropic_frame(surface: MeridianSurface, u, v,
                             for k in ("x", "y", "n1", "n2")))
 
 
-def geometric_functions(surface: MeridianSurface, u, v,
-                        tol: float = MINIMAL_TOL) -> GeometricFunctions:
+def geometric_functions(surface: MeridianSurface, u, v) -> GeometricFunctions:
     """Frame functions extracted by pairing directional derivatives.
 
     The derivative along x (resp. y) of a frame field F is
@@ -181,7 +175,7 @@ def geometric_functions(surface: MeridianSurface, u, v,
     array is built.  This is the measurement route; closed forms must
     agree with it, not the other way around.
     """
-    s, fields = _frame_fields(surface, u, v, tol)
+    s, fields = _frame_fields(surface, u, v)
     fa = s._factors
     r, r_f = 1.0 / _SQRT2, 1.0 / (_SQRT2 * s.f.f)
 
@@ -454,10 +448,8 @@ def canonical_scale(a: float, b: float) -> float:
     For the solution family f^2 |mu| = sqrt(a^2 + b) everywhere, so the
     scale is (a^2 + b)^(1/4).
     """
-    r2 = a * a + b
-    if r2 <= 0:
-        raise EmptyInterval(f"a^2 + b = {r2} leaves no valid interval")
-    return r2 ** 0.25
+    _minimal_radius(a, b)      # raises EmptyInterval unless a^2 + b > 0
+    return (a * a + b) ** 0.25
 
 
 def transported_solution_family(a: float, b: float, kappa: SmoothFn1,
@@ -681,3 +673,26 @@ def residual_syst1(lam: ScalarField2, mu: ScalarField2, nu: ScalarField2,
                           passed=passed, epsilon=-1, grid=echo,
                           details={"scale": scale,
                                    "conformal_mu_spread": spread})
+
+
+def residual_family(system: str, a: float, b: float, kappa: SmoothFn1,
+                    grid: Grid2, tol: float = 1e-8,
+                    eps: int = -1) -> ResidualReport:
+    """The case-(i) family's residuals in ``system``: syst1, degenerate, or
+    fund with ``eps``.  The audited :func:`solution_family` comes first,
+    then the grid against the profile interval of ``make_minimal(a, b)``
+    (:class:`OutOfDomain` names the first bad u), then the residual; fund
+    reads the transported family at the canonical barred points."""
+    if system not in ("syst1", "degenerate", "fund"):
+        raise ValueError(f"unknown system {system!r}")
+    lam, mu, nu = solution_family(a, b, kappa)
+    profile = make_minimal(a, b)
+    profile.domain.require(grid.u_points(), "u", "profile domain")
+    if system == "degenerate":
+        return residual_degenerate(lam, mu, nu, grid, tol=tol)
+    if system == "syst1":
+        return residual_syst1(lam, mu, nu, profile, grid, tol=tol)
+    tl, tm, tn, scale = transported_solution_family(a, b, kappa)
+    ub, vb = IsotropicChart.for_minimal_family(a, b).to_barred(
+        *grid.mesh(), scale=scale)
+    return residual_fund(tl, tm, tn, eps, (ub, vb), tol=tol)

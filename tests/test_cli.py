@@ -159,6 +159,56 @@ def test_verify_parallel_h1_passes(tmp_path):
     assert main(["verify", "--config", cfg]) == 0
 
 
+# families whose own directrix (families.default_directrix) is the
+# latitude circle of their kappa: (params, u-interval)
+OWN_LATITUDE = {
+    "CMC": ({"a": 1.0, "kappa": 1.0, "c": 1.0, "f0": 1.0, "h": 1e-3},
+            (0.0, 1.0)),
+    "ParallelH2": ({"a": 2.0, "b": 0.0, "kappa": 3.0}, (-1.0, 1.0)),
+    "PNMC1": ({"a": 0.0, "b": 1.0, "kappa": 2.0}, (-0.9, 0.9)),
+    "PNMC2": ({"a": 1.0, "c": 2.0, "kappa": 1.0, "f0": 1.0, "h": 1e-3},
+              (0.0, 0.8)),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(OWN_LATITUDE))
+def test_missing_directrix_is_the_familys_own(tag, tmp_path, capsys):
+    # without a directrix key the surface is the one families.build_surface
+    # gives, not one on the great circle (where CMC fails and PNMC1's H
+    # vanishes)
+    params, (lo, hi) = OWN_LATITUDE[tag]
+    base = {"family": {"tag": tag, **params, "u_min": lo, "u_max": hi},
+            "grid": {"u_min": lo, "u_max": hi, "nu": 10,
+                     "v_min": 0.0, "v_max": TWO_PI, "nv": 10},
+            "tol": 1e-6}
+    circle = {"directrix": {"kind": "latitude", "kappa": params["kappa"]}}
+    verdicts = []
+    for name, cfg in (("bare", base), ("circle", {**base, **circle})):
+        out = tmp_path / name
+        assert main(["verify", "--config", write_cfg(tmp_path / f"{name}.json",
+                                                     cfg),
+                     "--out", str(out)]) == 0
+        verdicts.append(json.loads((out / "verdict.json").read_text()))
+    capsys.readouterr()
+    assert verdicts[0]["verdict"] == verdicts[1]["verdict"]
+
+
+def test_missing_directrix_keeps_flat_on_the_great_circle(flat_cfg, tmp_path,
+                                                          capsys):
+    bare = json.loads(open(flat_cfg).read())
+    del bare["directrix"]
+    great = {**bare, "directrix": {"kind": "great"}}
+    texts = []
+    for name, cfg in (("bare", bare), ("great", great)):
+        out = tmp_path / name
+        assert main(["generate", "--config",
+                     write_cfg(tmp_path / f"{name}.json", cfg),
+                     "--out", str(out)]) == 0
+        texts.append((out / "surface.csv").read_bytes())
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+
+
 def test_pnmc2_generate_h0_parallel(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "pnmc2.json", {
         "family": {"tag": "PNMC2", "a": 1.0, "c": 2.0, "kappa": 1.0,
@@ -221,6 +271,23 @@ def test_pde_family_selector(tmp_path, capsys):
     assert main(["pde", "--config", cfg]) == 0
 
 
+@pytest.mark.parametrize("system", ["syst1", "fund"])
+def test_pde_accepts_a_reversed_u_range(system, tmp_path, capsys):
+    # the residuals are pointwise: u from 2 to 1 checks the same points as
+    # u from 1 to 2
+    maxima = []
+    for lo, hi in ((1.0, 2.0), (2.0, 1.0)):
+        cfg = write_cfg(tmp_path / f"{system}-{lo}.json", {
+            "system": system, "solution": "example1", "kappa": "sin-offset:2",
+            "grid": {"u_min": lo, "u_max": hi, "nu": 20,
+                     "v_min": 0.0, "v_max": TWO_PI, "nv": 20},
+        })
+        assert main(["pde", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        maxima.append([e["max_abs"] for e in report["equations"]])
+    assert maxima[0] == maxima[1]
+
+
 def test_pde_integrates_no_directrix(monkeypatch, tmp_path):
     # the residuals read the minimal profile (syst1) and the closed-form
     # chart (fund) only, never a surface or its directrix
@@ -251,7 +318,8 @@ def test_pde_fund_evaluates_lambda_once(monkeypatch, tmp_path):
         def partials(u, v):
             calls.append(np.shape(u))
             return raw(u, v)
-        return tuple(dataclasses.replace(f, partials=partials)
+        # no audit_box: the audited call above has already run the audit
+        return tuple(dataclasses.replace(f, partials=partials, audit_box=None)
                      if f.partials is raw else f for f in fields)
 
     monkeypatch.setattr(natural_pde, "solution_family", counted)

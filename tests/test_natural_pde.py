@@ -31,7 +31,6 @@ from meridian4.diffkit import SmoothFn1, quadrature
 from meridian4.minkowski import minkowski_inner
 from meridian4.natural_pde import (
     ISOTROPIC_GRAM,
-    MINIMAL_TOL,
     EquationResidual,
     IsotropicChart,
     Partials2,
@@ -110,6 +109,22 @@ def test_isotropic_frame_rejects_minimal_points():
                            directrix=great_circle())
     with pytest.raises(MinimalPoint):
         isotropic_frame(surf, 0.3, 0.5)
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(isotropic_frame, id="isotropic_frame"),
+    pytest.param(geometric_functions, id="geometric_functions"),
+    pytest.param(lambda s, u, v: s.normal_derivative_H0(u, v),
+                 id="normal_derivative_H0"),
+])
+def test_minimal_points_raise_one_message(read):
+    # one rule for where H0 = H/||H|| is undefined, shared by the frame,
+    # its functions and D H0
+    surf = MeridianSurface(profile=make_minimal(0.0, 1.0),
+                           directrix=great_circle())
+    with pytest.raises(MinimalPoint) as info:
+        read(surf, np.array([0.3, -0.2]), 0.5)
+    assert str(info.value) == "H vanishes (<H,H> <= 1e-12); H0 undefined"
 
 
 # ---------------------------------------------------------------- functions
@@ -273,7 +288,7 @@ def test_factored_frame_functions_match_ambient_route(route_points, name,
                                                       layout, s, t):
     surface, u, v = route_points(name, layout, s, t)
     want_gf, want_fields = _ambient_geometric_functions(surface._raw(u, v))
-    sample, fields = _frame_fields(surface, u, v, MINIMAL_TOL)
+    sample, fields = _frame_fields(surface, u, v)
     got = {**geometric_functions(surface, u, v)._asdict(),
            **{"frame " + k: w.as_array() for k, w in
               isotropic_frame(surface, u, v).labeled()}}
@@ -298,7 +313,7 @@ def test_factored_frame_functions_match_ambient_route(route_points, name,
 def _uncached_geometric_functions(surface, u, v):
     """geometric_functions with one _inner call per term pair, the sum the
     once-per-pair route must match bit for bit."""
-    s, fields = _frame_fields(surface, u, v, MINIMAL_TOL)
+    s, fields = _frame_fields(surface, u, v)
     fa = s._factors
     r, r_f = 1.0 / np.sqrt(2.0), 1.0 / (np.sqrt(2.0) * s.f.f)
 
